@@ -17,21 +17,23 @@ per-file parsing and AST walks it feeds on are what the cache avoids.
 
 The cache file carries a fingerprint over the schema version and the
 registered rule inventory: adding, removing or renaming a rule
-invalidates everything.  Writes are atomic (tmp + ``os.replace``) so
-an interrupted run never leaves a torn cache, and any unreadable or
-mismatched cache is silently treated as empty -- the cache is an
-optimization, never a source of truth.
+invalidates everything.  Writes go through
+:func:`~repro.store.durable.atomic_write`, so an interrupted run never
+leaves a torn cache, and any unreadable or mismatched cache is
+silently treated as empty -- the cache is an optimization, never a
+source of truth.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ...store.durable import atomic_write
 from .diagnostics import Diagnostic
 from .project import ModuleModel
 from .registry import Rule
@@ -140,14 +142,5 @@ def save_cache(
             for key, entry in sorted(entries.items())
         },
     }
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(
-            json.dumps(payload, separators=(",", ":")), encoding="utf-8"
-        )
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+    with contextlib.suppress(OSError):
+        atomic_write(path, json.dumps(payload, separators=(",", ":")))

@@ -24,7 +24,8 @@ RPR006            parallel-safety: engine callables must be
                   module-level; no module-global mutation in tasks
 RPR007            single persistence path: no ad-hoc csv.writer /
                   json.dump of run data outside ``repro.store`` and
-                  ``repro.core.results``
+                  ``repro.core.results``; no ``os`` replace / rename /
+                  fsync calls outside ``repro.store``
 RPR008            no bare ``print()`` in library code outside
                   ``cli.py``, ``analysis/ascii_plots.py`` and
                   ``parallel/progress.py``; output routes through
@@ -701,6 +702,9 @@ _RUN_DATA_MARKERS = frozenset({
     "PredictionFeatureIndex",
 })
 
+#: Crash-safety calls only ``repro.store`` (its durable module) may make.
+_DURABLE_CALLS = frozenset(f"os.{name}" for name in ("replace", "rename", "fsync"))
+
 #: The sanctioned homes of run-data serialization.
 _PERSISTENCE_MODULES = ("repro.core.results", "repro.store")
 
@@ -718,20 +722,26 @@ class SinglePersistencePath(Rule):
     name = "single-persistence-path"
     description = (
         "run data has one persistence path (repro.store journals, "
-        "repro.core.results derived CSVs); ad-hoc csv.writer/json.dump "
-        "of run records elsewhere forks the schema and breaks resume "
-        "and cross-box analysis"
+        "repro.core.results derived CSVs) and durable files one primitive "
+        "(repro.store.durable); ad-hoc csv.writer/json.dump of run records "
+        "or os-level replace/rename/fsync elsewhere forks them and breaks resume"
     )
     protects = "the repro-campaign/v1 journal as the single source of truth"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if not _is_repro_module(ctx) or _in_persistence_layer(ctx):
+        if not _is_repro_module(ctx) or _module_package(ctx) == "store":
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             path = ctx.resolve(node.func)
-            if path not in _SERIALIZER_PATHS:
+            if path in _DURABLE_CALLS:
+                yield self.diagnostic(
+                    ctx, node,
+                    f"{path} outside repro.store; write durable files "
+                    "through repro.store.durable (atomic_write / AppendLog)",
+                )
+            if path not in _SERIALIZER_PATHS or _in_persistence_layer(ctx):
                 continue
             scope = self._enclosing_scope(ctx.tree, node)
             marker = self._run_data_marker(scope)

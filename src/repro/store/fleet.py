@@ -20,11 +20,11 @@ written fleet manifest (``fleet.json``)::
 routing key for writes), the shard path, and a completion watermark
 (journaled tasks out of the grid total).  Watermarks are *derived*
 state -- :meth:`FleetStore.refresh_watermarks` recomputes them from
-the shard journals on disk and rewrites the manifest atomically, so
-concurrent appenders in different processes converge on the same
-manifest without any cross-shard locking: each shard journal has
-exactly one writer, and the manifest is last-writer-wins over facts
-read from disk.
+the shard journals on disk and rewrites the manifest through
+:func:`~repro.store.durable.atomic_write`, so concurrent appenders in
+different processes converge on the same manifest without any
+cross-shard locking: each shard journal has exactly one writer, and
+the manifest is last-writer-wins over facts read from disk.
 
 Shards stay bit-identical to standalone single-machine stores: the
 fleet layer adds routing, aggregation and compaction *around*
@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -58,6 +57,7 @@ from ..core.framework import FrameworkConfig
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
 from ..errors import StoreError
 from ..machines import MachineSpec
+from .durable import atomic_write
 from .index import StoreIndexes
 from .journal import JOURNAL_NAME, CampaignStore, TaskKey
 from .records import StoredCampaign
@@ -316,9 +316,7 @@ class FleetStore:
         payload = json.dumps(
             self.manifest.to_json_dict(), indent=2, sort_keys=True
         )
-        temp = self.manifest_path.with_name(FLEET_MANIFEST_NAME + ".tmp")
-        temp.write_text(payload + "\n")
-        os.replace(temp, self.manifest_path)
+        atomic_write(self.manifest_path, payload + "\n")
 
     # -- shard routing -----------------------------------------------------
 
@@ -363,8 +361,9 @@ class FleetStore:
 
         Watermarks are facts about the shard journals, not independent
         state: each is re-read from its journal file, so concurrent
-        refreshers racing on ``fleet.json`` all write manifests that
-        agree with disk and the last writer wins harmlessly.
+        refreshers all write manifests that agree with disk; each goes
+        through its own :func:`~repro.store.durable.atomic_write` temp
+        file, so the last writer wins with a complete ``fleet.json``.
         """
         entries: List[ShardEntry] = []
         for entry in self.manifest.shards:
@@ -442,8 +441,8 @@ class FleetStore:
           (``0 < journal_offset < grid total``) blocks compaction --
           reordering would silently re-train that cursor on wrong
           records -- unless ``force=True`` discards the concern.
-        * The rewrite is atomic (tmp + fsync + ``os.replace``): a crash
-          leaves the old or the new journal, never a mix.
+        * The rewrite is a :func:`~repro.store.durable.atomic_write`: a
+          crash leaves the old or the new journal, never a mix.
 
         Returns the names of the shards that were rewritten.
         """
@@ -465,13 +464,7 @@ class FleetStore:
                 json.dumps(by_key[key].to_json_dict(), sort_keys=True)
                 for key in store.expected_keys()
             ]
-            journal = self.shard_path(entry) / JOURNAL_NAME
-            temp = journal.with_name(JOURNAL_NAME + ".tmp")
-            with temp.open("w") as handle:
-                handle.write("\n".join(lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, journal)
+            atomic_write(self.shard_path(entry) / JOURNAL_NAME, "\n".join(lines) + "\n")
             # The cached store object ordered its records pre-rewrite;
             # drop it so the next reader sees the canonical order.
             del self._stores[entry.spec_digest]

@@ -11,11 +11,11 @@ A campaign store is a directory with exactly two files:
   the grid and every task's derived seed -- which is what makes a
   journal resumable bit-identically.
 * ``journal.jsonl`` -- one line per completed (workload, core,
-  campaign) task, appended with flush+fsync as tasks finish (see
-  :class:`~repro.store.records.StoredCampaign`).  A crash mid-write
-  can leave at most one truncated trailing line, which loading
-  tolerates; corruption anywhere else is an error, never silently
-  skipped.
+  campaign) task (see :class:`~repro.store.records.StoredCampaign`),
+  appended as tasks finish through a
+  :class:`~repro.store.durable.AppendLog`: a crash can leave at most a
+  torn trailing line, which loading drops; corruption anywhere else is
+  an error, never silently skipped.
 
 The store is the single durable persistence path of the stack; the
 paper's Section-2.2 CSV artifacts are *derived* from it via
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -51,6 +50,7 @@ from ..errors import CampaignError, ConfigurationError, StoreError
 from ..machines import MachineSpec
 from ..workloads import get_program
 from ..workloads.benchmark import Program
+from .durable import AppendLog, atomic_write
 from .records import StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -165,9 +165,8 @@ class CampaignStore:
         # the expected/completed sets O(grid) on every append.
         self._expected: Set[TaskKey] = set(manifest.expected_keys())
         self._completed: Set[TaskKey] = {c.key for c in campaigns}
-        #: Byte offset to truncate the journal to before the next
-        #: append, set when loading found a torn trailing line.
-        self._torn_tail_bytes: Optional[int] = None
+        #: The journal file; it heals a torn tail on the next append.
+        self._log = AppendLog(directory / JOURNAL_NAME, "journal")
         #: Callbacks fired after every durable append (see
         #: :meth:`subscribe`); the warm query indexes hang off this.
         self._observers: List[Callable[[StoredCampaign], None]] = []
@@ -209,13 +208,10 @@ class CampaignStore:
             weights=weights,
         )
         path.mkdir(parents=True, exist_ok=True)
-        # Atomic manifest write: a crash during creation must leave
-        # either no manifest (not a store) or a complete one -- never a
-        # half-written file a later open would choke on.
+        # A crash during creation leaves either no manifest (not a
+        # store) or a complete one a later open can read.
         payload = json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True)
-        temp = path / (MANIFEST_NAME + ".tmp")
-        temp.write_text(payload + "\n")
-        os.replace(temp, path / MANIFEST_NAME)
+        atomic_write(path / MANIFEST_NAME, payload + "\n")
         return cls(path, manifest, [])
 
     @classmethod
@@ -238,57 +234,26 @@ class CampaignStore:
         return store
 
     def _load_journal(self) -> List[StoredCampaign]:
-        """Parse the journal, tolerating one truncated trailing line.
-
-        A crash can interrupt exactly one append, so only the *last*
-        line may legitimately fail to parse; a malformed line anywhere
-        else means real corruption and raises.  A torn tail is noted by
-        byte offset so :meth:`append_campaign` can truncate it away
-        before writing -- otherwise the next append would land on the
-        same line as the fragment, producing a merged line that is no
-        longer last and bricks every later :meth:`open`.
-        """
+        """Parse the journal; a torn last line is dropped (its task
+        reruns) and cut away by the next :meth:`append_campaign`."""
         if not self.journal_path.exists():
             return []
-        entries = self.journal_path.read_bytes().splitlines(keepends=True)
         campaigns: List[StoredCampaign] = []
         seen: Set[TaskKey] = set()
-        offset = 0
-        for index, entry in enumerate(entries):
-            is_last = index == len(entries) - 1
-            if not entry.strip():
-                offset += len(entry)
-                continue
-            try:
-                data = json.loads(entry.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if is_last:
-                    self._torn_tail_bytes = offset
-                    break  # torn tail of an interrupted append
-                raise StoreError(
-                    f"corrupt journal line {index + 1} in "
-                    f"{self.journal_path}: {exc}"
-                )
-            if is_last and not entry.endswith(b"\n"):
-                # Parseable but unterminated: still the stub of an
-                # interrupted append.  Drop it (the task simply reruns)
-                # rather than let the next append share its line.
-                self._torn_tail_bytes = offset
-                break
+        for number, (_end, data) in enumerate(self._log.lines(), 1):
             campaign = StoredCampaign.from_json_dict(data)
             if campaign.key not in self._expected:
                 raise CampaignError(
-                    f"journal line {index + 1} records task "
+                    f"journal line {number} records task "
                     f"{campaign.key!r}, which is not in the manifest grid"
                 )
             if campaign.key in seen:
                 raise CampaignError(
-                    f"journal line {index + 1} duplicates task "
+                    f"journal line {number} duplicates task "
                     f"{campaign.key!r}"
                 )
             seen.add(campaign.key)
             campaigns.append(campaign)
-            offset += len(entry)
         return campaigns
 
     # -- append side -------------------------------------------------------
@@ -317,13 +282,6 @@ class CampaignStore:
             )
         if stored.key in self._completed:
             raise CampaignError(f"task {stored.key!r} is already journaled")
-        if self._torn_tail_bytes is not None:
-            # Heal the crash scar first: cut the journal back to the end
-            # of its last valid line so this record starts a fresh one.
-            with self.journal_path.open("r+b") as handle:
-                handle.truncate(self._torn_tail_bytes)
-                os.fsync(handle.fileno())
-            self._torn_tail_bytes = None
         line = json.dumps(stored.to_json_dict(), sort_keys=True)
         fsync_started = telemetry.clock()
         # A real span (not a point event) so trace analytics can
@@ -338,10 +296,7 @@ class CampaignStore:
             campaign=stored.campaign_index,
             bytes=len(line) + 1,
         ):
-            with self.journal_path.open("a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._log.append(line)
         telemetry.observe(
             telemetry.M_JOURNAL_FSYNC_SECONDS, telemetry.clock() - fsync_started
         )

@@ -271,33 +271,21 @@ class TraceWriter:
 def load_spans(path: Union[str, Path], strict: bool = True) -> List[SpanRecord]:
     """Parse one JSONL trace file back into validated records.
 
-    With ``strict=False`` a torn *trailing* line -- the scar of a
-    writer killed mid-append -- is dropped instead of raising, under
-    the same rules the campaign journal heals by: only the last line
-    may fail to decode, and a last line without a terminating newline
-    is a stub even when it happens to parse.  Corruption anywhere else
-    always raises, in either mode.
+    The file is read as a :class:`~repro.store.durable.AppendLog`:
+    corruption before the last line always raises, and a torn trailing
+    line -- the scar of a writer killed mid-append, even one that
+    parses but lacks its newline -- raises unless ``strict=False``.
     """
-    entries = Path(path).read_bytes().splitlines(keepends=True)
+    from ..store.durable import AppendLog
+
+    log = AppendLog(path, "trace")
     records: List[SpanRecord] = []
-    for index, entry in enumerate(entries):
-        is_last = index == len(entries) - 1
-        if not entry.strip():
-            continue
-        try:
-            data = json.loads(entry.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            if is_last and not strict:
-                break  # torn tail of an interrupted append
-            raise ValueError(
-                f"corrupt trace line {index + 1} in {path}: {exc}"
-            )
-        if is_last and not entry.endswith(b"\n") and not strict:
-            # Parseable but unterminated: still an interrupted append.
-            break
+    for _end, data in log.lines():
         if not isinstance(data, dict):
-            raise ValueError(f"trace line is not an object: {entry!r}")
+            raise ValueError(f"trace line is not an object: {data!r}")
         records.append(SpanRecord.from_json_dict(data))
+    if strict and log.torn_at is not None:
+        raise ValueError(f"corrupt trace line at byte {log.torn_at} in {path}: torn tail")
     return records
 
 

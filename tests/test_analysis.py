@@ -509,6 +509,53 @@ class TestRPR007SinglePersistencePath:
                 json.dump([RunRecord.to_json_dict(r) for r in records], handle)
         """, path="tools/fixture.py") == []
 
+    def test_hand_rolled_atomic_write_outside_store_flagged(self):
+        assert lint_rules("""
+            import os
+
+            def save(path, text):
+                temp = path + ".tmp"
+                with open(temp, "w") as handle:
+                    handle.write(text)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(temp, path)
+        """, path="src/repro/analysis/fixture.py") == ["RPR007", "RPR007"]
+
+    def test_imported_rename_flagged_even_in_results(self):
+        assert lint_rules("""
+            from os import rename
+
+            def publish(temp, path):
+                rename(temp, path)
+        """, path="src/repro/core/results.py") == ["RPR007"]
+
+    def test_durable_calls_sanctioned_in_store(self):
+        assert lint_rules("""
+            import os
+
+            def publish(fd, temp, path):
+                os.fsync(fd)
+                os.replace(temp, path)
+        """, path="src/repro/store/durable.py") == []
+
+    def test_durable_calls_outside_repro_out_of_scope(self):
+        assert lint_rules("""
+            import os
+
+            def publish(temp, path):
+                os.replace(temp, path)
+        """, path="tools/fixture.py") == []
+
+    def test_other_os_calls_clean(self):
+        assert lint_rules("""
+            import os
+
+            def tidy(path):
+                os.makedirs(path, exist_ok=True)
+                os.unlink(path)
+        """, path="src/repro/analysis/fixture.py") == []
+
 
 class TestSuppressions:
     def test_trailing_justified_suppression_applies(self):
