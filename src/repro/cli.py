@@ -545,9 +545,8 @@ def _run_train(args: argparse.Namespace) -> int:
             print("store complete; follow mode done")
             return 0
         time.sleep(args.poll)
-        for trainer in trainers.values():
-            trainer.refresh()
-        store = CampaignStore.open(args.store)
+        # Every trainer holds ``store``: one refresh catches all up.
+        store.refresh()
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:

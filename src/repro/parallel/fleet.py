@@ -74,7 +74,9 @@ def run_fleet(
     for entry in manifest.shards:
         if selected is not None and entry.name not in selected:
             continue
-        shard = store.shard(entry)
+        # Catch up with the journal first: it may have grown, been cut
+        # or compacted on disk since this fleet object last read it.
+        shard = store.refreshed_shard(entry)
         engine = ParallelCampaignEngine(
             shard.manifest.spec,
             manifest.config,

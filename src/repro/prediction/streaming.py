@@ -131,10 +131,8 @@ class StreamingTrainer:
         return model / naive
 
     def refresh(self) -> None:
-        """Re-open the store directory to see newly journaled records."""
-        from ..store import CampaignStore
-
-        self.store = CampaignStore.open(self.store.directory)
+        """Catch the store up with newly journaled records on disk."""
+        self.store.refresh()
 
     # -- streaming consumption ---------------------------------------------
 
@@ -374,21 +372,21 @@ class FleetStreamingTrainer(StreamingTrainer):
         }
 
     def refresh(self) -> None:
-        """No-op: :meth:`consume` re-opens every shard from disk."""
+        """No-op: :meth:`consume` refreshes every shard from disk."""
 
     def consume(self, stop: Optional[int] = None) -> int:
         """Advance every shard cursor; returns batches folded in.
 
-        Shards are walked in fleet-manifest order and each is re-opened
-        from disk first, so records appended by other processes (the
-        per-shard campaign runners) are picked up without any shared
-        state beyond the journals themselves.
+        Shards are walked in fleet-manifest order and each cached
+        shard store is refreshed from disk first
+        (:meth:`~repro.store.FleetStore.refreshed_shard`), so records
+        appended by other processes (the per-shard campaign runners)
+        are picked up without any shared state beyond the journals
+        themselves.
         """
-        from ..store import CampaignStore
-
         consumed = 0
         for entry in self.fleet.manifest.shards:
-            shard = CampaignStore.open(self.fleet.shard_path(entry))
+            shard = self.fleet.refreshed_shard(entry)
             for batch in iter_journal_datasets(
                 shard,
                 self.core,

@@ -70,11 +70,15 @@ class AppendLog:
         #: by a failed :meth:`append`); the next append truncates to it.
         self.torn_at: Optional[int] = None
 
-    def lines(self, start: int = 0) -> Iterator[Tuple[int, Any]]:
+    def lines(
+        self, start: int = 0, payload: Optional[bytes] = None
+    ) -> Iterator[Tuple[int, Any]]:
         """Yield ``(end_offset, decoded)`` per durable line from byte
-        ``start``; a torn last line only sets :attr:`torn_at`."""
+        ``start`` of ``payload`` (default: the file as it is now); a
+        torn last line only sets :attr:`torn_at`."""
         self.torn_at = None
-        payload = self.path.read_bytes()
+        if payload is None:
+            payload = self.path.read_bytes()
         end = start
         number = payload.count(b"\n", 0, start)
         for entry in payload[start:].splitlines(keepends=True):
@@ -96,8 +100,9 @@ class AppendLog:
                 return
             yield end, data
 
-    def append(self, line: str) -> None:
-        """Truncate a torn tail, then append ``line`` and fsync."""
+    def append(self, line: str) -> int:
+        """Truncate a torn tail, append ``line`` and fsync; returns the
+        byte offset the line starts at."""
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             if self.torn_at is not None:
@@ -111,6 +116,7 @@ class AppendLog:
             self.torn_at = None
         finally:
             os.close(fd)
+        return end
 
 
 __all__ = ["AppendLog", "CorruptLine", "atomic_write"]

@@ -20,7 +20,8 @@ written fleet manifest (``fleet.json``)::
 routing key for writes), the shard path, and a completion watermark
 (journaled tasks out of the grid total).  Watermarks are *derived*
 state -- :meth:`FleetStore.refresh_watermarks` recomputes them from
-the shard journals on disk and rewrites the manifest through
+the shard journals on disk (each cached shard store catches up through
+:meth:`CampaignStore.refresh`) and rewrites the manifest through
 :func:`~repro.store.durable.atomic_write`, so concurrent appenders in
 different processes converge on the same manifest without any
 cross-shard locking: each shard journal has exactly one writer, and
@@ -59,7 +60,7 @@ from ..errors import StoreError
 from ..machines import MachineSpec
 from .durable import atomic_write
 from .index import StoreIndexes
-from .journal import JOURNAL_NAME, CampaignStore, TaskKey
+from .journal import CampaignStore, TaskKey
 from .records import StoredCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -211,13 +212,17 @@ class FleetStore:
 
     Construct through :meth:`create` or :meth:`open`.  Shard stores
     open lazily and are cached per fleet-store object; every shard is
-    a full, standalone :class:`CampaignStore`.
+    a full, standalone :class:`CampaignStore`.  The fleet's readers
+    share that one cached store per shard and bring it up to date with
+    :meth:`CampaignStore.refresh`, so each journal line is parsed once
+    per fleet object.
     """
 
     def __init__(self, directory: Path, manifest: FleetManifest) -> None:
         self.directory = directory
         self.manifest = manifest
         self._stores: Dict[str, CampaignStore] = {}
+        self._indexes: Dict[str, "FleetIndexes"] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -320,16 +325,13 @@ class FleetStore:
 
     # -- shard routing -----------------------------------------------------
 
-    def shard(self, entry: ShardEntry) -> CampaignStore:
-        """Open (cached) the shard store behind a manifest entry.
+    def open_shard(self, entry: ShardEntry) -> CampaignStore:
+        """A fresh, uncached full parse of the shard behind an entry.
 
         The shard's own manifest must agree with the fleet entry on the
         machine-spec digest; a mismatch means the shard directory was
         swapped or edited underneath the fleet.
         """
-        cached = self._stores.get(entry.spec_digest)
-        if cached is not None:
-            return cached
         store = CampaignStore.open(self.shard_path(entry))
         actual = store.manifest.spec.digest()
         if actual != entry.spec_digest:
@@ -338,7 +340,20 @@ class FleetStore:
                 f"{self.shard_path(entry)}, but that shard's manifest "
                 f"digests to {actual} -- the shard was swapped or edited"
             )
-        self._stores[entry.spec_digest] = store
+        return store
+
+    def shard(self, entry: ShardEntry) -> CampaignStore:
+        """The cached shard store behind a manifest entry (opened and
+        digest-checked by :meth:`open_shard` on first use)."""
+        cached = self._stores.get(entry.spec_digest)
+        if cached is None:
+            cached = self._stores[entry.spec_digest] = self.open_shard(entry)
+        return cached
+
+    def refreshed_shard(self, entry: ShardEntry) -> CampaignStore:
+        """:meth:`shard`, caught up with its journal on disk."""
+        store = self.shard(entry)
+        store.refresh()
         return store
 
     def shard_for(self, spec: MachineSpec) -> CampaignStore:
@@ -360,20 +375,22 @@ class FleetStore:
         """Re-derive every watermark from disk and rewrite the manifest.
 
         Watermarks are facts about the shard journals, not independent
-        state: each is re-read from its journal file, so concurrent
-        refreshers all write manifests that agree with disk; each goes
-        through its own :func:`~repro.store.durable.atomic_write` temp
-        file, so the last writer wins with a complete ``fleet.json``.
+        state: each cached shard store catches up with its journal file
+        (:meth:`CampaignStore.refresh`: a verified tail, or a full
+        re-parse if the file no longer extends what was parsed), so
+        concurrent refreshers all write manifests that agree with disk;
+        each goes through its own
+        :func:`~repro.store.durable.atomic_write` temp file, so the
+        last writer wins with a complete ``fleet.json``.
         """
         entries: List[ShardEntry] = []
         for entry in self.manifest.shards:
-            fresh = CampaignStore.open(self.shard_path(entry))
+            fresh = self.refreshed_shard(entry)
             entries.append(
                 dataclasses.replace(
                     entry, watermark=len(fresh.completed_keys())
                 )
             )
-            self._stores[entry.spec_digest] = fresh
         self.manifest = dataclasses.replace(
             self.manifest, shards=tuple(entries)
         )
@@ -393,8 +410,19 @@ class FleetStore:
     # -- warm indexes ------------------------------------------------------
 
     def indexes(self, feature_target: str = "vmin") -> "FleetIndexes":
-        """Warm query indexes over every shard, in manifest order."""
-        return FleetIndexes(self, feature_target=feature_target)
+        """Warm query indexes over every shard, in manifest order.
+
+        One :class:`FleetIndexes` per target lives with this fleet
+        object; later calls refresh it instead of building another.
+        """
+        cached = self._indexes.get(feature_target)
+        if cached is None:
+            cached = self._indexes[feature_target] = FleetIndexes(
+                self, feature_target=feature_target
+            )
+        else:
+            cached.refresh()
+        return cached
 
     # -- model artifacts ---------------------------------------------------
 
@@ -442,15 +470,16 @@ class FleetStore:
           reordering would silently re-train that cursor on wrong
           records -- unless ``force=True`` discards the concern.
         * The rewrite is a :func:`~repro.store.durable.atomic_write`: a
-          crash leaves the old or the new journal, never a mix.
+          crash leaves the old or the new journal, never a mix.  The
+          cached shard store then re-parses the canonical order (its
+          ``generation`` moves, so warm indexes rebuild).
 
         Returns the names of the shards that were rewritten.
         """
         compacted: List[str] = []
         entries: List[ShardEntry] = []
         for entry in self.manifest.shards:
-            store = CampaignStore.open(self.shard_path(entry))
-            self._stores[entry.spec_digest] = store
+            store = self.refreshed_shard(entry)
             watermark = len(store.completed_keys())
             entry = dataclasses.replace(entry, watermark=watermark)
             if entry.compacted or not store.is_complete():
@@ -464,10 +493,8 @@ class FleetStore:
                 json.dumps(by_key[key].to_json_dict(), sort_keys=True)
                 for key in store.expected_keys()
             ]
-            atomic_write(self.shard_path(entry) / JOURNAL_NAME, "\n".join(lines) + "\n")
-            # The cached store object ordered its records pre-rewrite;
-            # drop it so the next reader sees the canonical order.
-            del self._stores[entry.spec_digest]
+            atomic_write(store.journal_path, "\n".join(lines) + "\n")
+            store.refresh()
             entry = dataclasses.replace(entry, compacted=True)
             compacted.append(entry.name)
             entries.append(entry)
@@ -513,11 +540,12 @@ class FleetStore:
 class FleetIndexes:
     """Warm :class:`StoreIndexes` bundles for every fleet shard.
 
-    Built over freshly opened shard stores (manifest order) so the
-    answers reflect disk at construction time; :meth:`refresh` folds in
-    later on-disk appends by re-opening shards.  ``serialize()`` is
-    canonical and shard-ordered, so warm-vs-reparse equivalence is a
-    byte comparison fleet-wide.
+    One bundle per shard, attached to the fleet's cached shard store
+    (manifest order); :meth:`refresh` catches each store up with its
+    journal on disk and folds the new records into the bundle, which
+    rebuilds only when the store had to re-parse from byte 0.
+    ``serialize()`` is canonical and shard-ordered, so warm-vs-reparse
+    equivalence is a byte comparison fleet-wide.
     """
 
     def __init__(self, fleet: FleetStore, feature_target: str = "vmin") -> None:
@@ -527,12 +555,16 @@ class FleetIndexes:
         self.refresh()
 
     def refresh(self) -> None:
-        """Rebuild each shard bundle from the journal on disk."""
+        """Bring every shard bundle up to the journal on disk."""
         for entry in self.fleet.manifest.shards:
-            store = CampaignStore.open(self.fleet.shard_path(entry))
-            self._bundles[entry.spec_digest] = StoreIndexes(
-                store, feature_target=self.feature_target
-            )
+            store = self.fleet.refreshed_shard(entry)
+            bundle = self._bundles.get(entry.spec_digest)
+            if bundle is None:
+                self._bundles[entry.spec_digest] = StoreIndexes(
+                    store, feature_target=self.feature_target
+                )
+            else:
+                bundle.refresh()
 
     def bundle(self, shard: Union[str, ShardEntry]) -> StoreIndexes:
         """The index bundle of one shard, by name or entry."""
@@ -560,14 +592,16 @@ class FleetIndexes:
     def serialize_reparse(self) -> str:
         """The same bytes recomputed through a full journal re-parse.
 
-        Must equal :meth:`serialize` on every fleet -- the
+        Every shard is opened afresh (:meth:`FleetStore.open_shard`),
+        never through the cached stores the warm bundles share.  Must
+        equal :meth:`serialize` on every fleet -- the
         index-equals-reparse contract, fleet-wide.
         """
         from .index import reparse_serialization
 
         parts: List[str] = []
         for entry in self.fleet.manifest.shards:
-            store = CampaignStore.open(self.fleet.shard_path(entry))
+            store = self.fleet.open_shard(entry)
             parts.append(f"# shard {entry.name} spec {entry.spec_digest}\n")
             parts.append(
                 reparse_serialization(store, self.feature_target)

@@ -15,8 +15,10 @@ is O(journal) every time; these indexes keep the answers warm instead:
 
 All three update incrementally -- per appended record through
 :meth:`~repro.store.journal.CampaignStore.subscribe`, or in bulk
-through cursor-based :meth:`refresh` -- and are **answer-identical to a
-full journal re-parse** by contract: every index has a
+through cursor-based :meth:`refresh` (after
+:meth:`~repro.store.journal.CampaignStore.refresh` picked up other
+writers' records) -- and are **answer-identical to a full journal
+re-parse** by contract: every index has a
 ``from_reparse`` constructor that rebuilds the same answers through the
 classic read path (:meth:`CampaignStore.results` and the store-backed
 dataset assemblers), and ``serialize()`` is canonical, so equality is
@@ -378,28 +380,42 @@ class StoreIndexes:
     """The warm index bundle of one open campaign store.
 
     Subscribes to the store's append stream, so every journaled record
-    updates the indexes before ``append_campaign`` returns; cells
-    journaled before attachment are folded in by the initial
-    :meth:`refresh`.  For appends made by *other* processes, re-open
-    the store and build a fresh bundle (the from-reparse equivalence
-    guarantees identical answers).
+    updates the indexes before ``append_campaign`` returns; records the
+    store accounted otherwise -- journaled before attachment, or
+    appended by another process and picked up by
+    :meth:`CampaignStore.refresh` -- are folded in by :meth:`refresh`.
+    When the store re-parsed its journal from byte 0 (its
+    ``generation`` moved), the bundle rebuilds from scratch; the
+    from-reparse equivalence guarantees identical answers either way.
     """
 
     def __init__(
         self, store: CampaignStore, feature_target: str = "vmin"
     ) -> None:
         self.store = store
-        manifest = store.manifest
-        self.vmin = VminIndex(manifest)
-        self.severity = SeverityIndex(manifest)
-        self.features = PredictionFeatureIndex(manifest, target=feature_target)
-        self._needed = manifest.config.campaigns
-        self._cell_counts: Dict[CellKey, int] = {}
-        self._offset = 0
+        self._feature_target = feature_target
+        self._reset()
         store.subscribe(self._on_append)
         self.refresh()
 
-    def _on_append(self, stored: StoredCampaign) -> None:
+    def _reset(self) -> None:
+        manifest = self.store.manifest
+        self.vmin = VminIndex(manifest)
+        self.severity = SeverityIndex(manifest)
+        self.features = PredictionFeatureIndex(
+            manifest, target=self._feature_target
+        )
+        self._needed = manifest.config.campaigns
+        self._cell_counts: Dict[CellKey, int] = {}
+        self._offset = 0
+        self._generation = self.store.generation
+
+    def _on_append(self, _stored: StoredCampaign) -> None:
+        # The appended record is the store's last one; catching up from
+        # the cursor also folds in any refreshed records before it.
+        self.refresh()
+
+    def _ingest(self, stored: StoredCampaign) -> None:
         self._offset += 1
         self.vmin.ingest(stored)
         self.severity.ingest(stored)
@@ -413,9 +429,11 @@ class StoreIndexes:
 
     def refresh(self) -> int:
         """Fold in records the bundle has not seen yet; returns count."""
-        pending = self.store.campaigns()[self._offset:]
+        if self.store.generation != self._generation:
+            self._reset()
+        pending = self.store.campaigns(self._offset)
         for stored in pending:
-            self._on_append(stored)
+            self._ingest(stored)
         return len(pending)
 
     def records_indexed(self) -> int:

@@ -25,6 +25,7 @@ paper's Section-2.2 CSV artifacts are *derived* from it via
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from typing import (
@@ -148,6 +149,17 @@ class CampaignManifest:
         return manifest
 
 
+def _read_manifest(path: Path) -> CampaignManifest:
+    manifest_path = path / MANIFEST_NAME
+    if not manifest_path.exists():
+        raise CampaignError(f"no campaign store at {path}")
+    try:
+        manifest_data = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise StoreError(f"corrupt store manifest {manifest_path}: {exc}")
+    return CampaignManifest.from_json_dict(manifest_data, source=manifest_path)
+
+
 class CampaignStore:
     """A directory-backed, append-only journal of one campaign grid.
 
@@ -167,6 +179,15 @@ class CampaignStore:
         self._completed: Set[TaskKey] = {c.key for c in campaigns}
         #: The journal file; it heals a torn tail on the next append.
         self._log = AppendLog(directory / JOURNAL_NAME, "journal")
+        #: Journal bytes accounted in ``_campaigns`` and their SHA-256
+        #: (``None`` once an append lands anywhere but ``_parsed``):
+        #: :meth:`refresh` decodes only what follows a prefix that
+        #: still hashes the same.
+        self._parsed = 0
+        self._digest: Optional["hashlib._Hash"] = hashlib.sha256()
+        #: Bumped each time :meth:`refresh` re-parses from byte 0;
+        #: state derived from record offsets must rebuild when it moves.
+        self.generation = 0
         #: Callbacks fired after every durable append (see
         #: :meth:`subscribe`); the warm query indexes hang off this.
         self._observers: List[Callable[[StoredCampaign], None]] = []
@@ -218,43 +239,88 @@ class CampaignStore:
     def open(cls, directory: Union[str, Path]) -> "CampaignStore":
         """Open an existing store and load its journal."""
         path = Path(directory)
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise CampaignError(f"no campaign store at {path}")
-        try:
-            manifest_data = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt store manifest {manifest_path}: {exc}")
-        manifest = CampaignManifest.from_json_dict(
-            manifest_data, source=manifest_path
-        )
-        store = cls(path, manifest, [])
-        store._campaigns = store._load_journal()
-        store._completed = {c.key for c in store._campaigns}
+        store = cls(path, _read_manifest(path), [])
+        store._decode(store._read_journal(), None)
         return store
 
-    def _load_journal(self) -> List[StoredCampaign]:
-        """Parse the journal; a torn last line is dropped (its task
-        reruns) and cut away by the next :meth:`append_campaign`."""
-        if not self.journal_path.exists():
-            return []
-        campaigns: List[StoredCampaign] = []
+    def _read_journal(self) -> bytes:
+        path = self.journal_path
+        return path.read_bytes() if path.exists() else b""
+
+    def _decode(
+        self, payload: bytes, digest: Optional["hashlib._Hash"]
+    ) -> int:
+        """Account the journal lines of ``payload`` past the parsed
+        prefix whose SHA-256 is ``digest`` -- or, with ``None``, every
+        line from byte 0; returns how many.
+
+        A torn last line is dropped (its task reruns) and cut away by
+        the next :meth:`append_campaign`.  Nothing is committed unless
+        every new line passes the grid and duplicate checks.
+        """
+        start, known = 0, 0
+        completed: Set[TaskKey] = set()
+        if digest is not None:
+            start, known = self._parsed, len(self._campaigns)
+            completed = self._completed
+        fresh: List[StoredCampaign] = []
         seen: Set[TaskKey] = set()
-        for number, (_end, data) in enumerate(self._log.lines(), 1):
+        end = start
+        for end, data in self._log.lines(start, payload):
             campaign = StoredCampaign.from_json_dict(data)
+            number = known + len(fresh) + 1
             if campaign.key not in self._expected:
                 raise CampaignError(
                     f"journal line {number} records task "
                     f"{campaign.key!r}, which is not in the manifest grid"
                 )
-            if campaign.key in seen:
+            if campaign.key in completed or campaign.key in seen:
                 raise CampaignError(
                     f"journal line {number} duplicates task "
                     f"{campaign.key!r}"
                 )
             seen.add(campaign.key)
-            campaigns.append(campaign)
-        return campaigns
+            fresh.append(campaign)
+        if digest is None:
+            digest = hashlib.sha256()
+            self._campaigns, self._completed = [], set()
+        digest.update(memoryview(payload)[start:end])
+        self._digest, self._parsed = digest, end
+        self._campaigns.extend(fresh)
+        self._completed.update(seen)
+        return len(fresh)
+
+    def refresh(self) -> int:
+        """Catch up with the journal on disk; returns lines decoded.
+
+        If the bytes parsed so far are still the file's prefix (same
+        length and SHA-256), only the tail past them is decoded, under
+        the same checks as :meth:`open`.  Otherwise -- the journal was
+        truncated, compacted or edited -- it is re-parsed from byte 0
+        and :attr:`generation` is bumped, after checking that the
+        manifest on disk still pins this store's machine spec (a
+        swapped store directory raises :class:`StoreError`).
+        """
+        payload = self._read_journal()
+        parsed, digest = self._parsed, self._digest
+        if (
+            digest is not None
+            and len(payload) >= parsed
+            and hashlib.sha256(memoryview(payload)[:parsed]).digest()
+            == digest.digest()
+        ):
+            return self._decode(payload, digest)
+        held = self.manifest.spec.digest()
+        on_disk = _read_manifest(self.directory).spec.digest()
+        if on_disk != held:
+            raise StoreError(
+                f"store manifest {self.manifest_path} digests to "
+                f"{on_disk}, but this open store holds {held} -- the "
+                f"store directory was swapped or edited"
+            )
+        decoded = self._decode(payload, None)
+        self.generation += 1
+        return decoded
 
     # -- append side -------------------------------------------------------
 
@@ -296,7 +362,15 @@ class CampaignStore:
             campaign=stored.campaign_index,
             bytes=len(line) + 1,
         ):
-            self._log.append(line)
+            start = self._log.append(line)
+        written = (line + "\n").encode("utf-8")
+        if self._digest is not None and start == self._parsed:
+            self._digest.update(written)
+            self._parsed += len(written)
+        else:
+            # Someone else's bytes precede ours: only a re-parse can
+            # tell what this store is missing.
+            self._digest = None
         telemetry.observe(
             telemetry.M_JOURNAL_FSYNC_SECONDS, telemetry.clock() - fsync_started
         )
@@ -313,16 +387,16 @@ class CampaignStore:
         Observers run once the record is fsynced and accounted, so an
         incremental index updated from here can never get ahead of the
         journal.  They see appends through *this* store object only --
-        another process appending to the same directory is picked up by
-        re-opening (or by an index's cursor-based ``refresh``).
+        records another process appended are accounted by
+        :meth:`refresh`, which fires no observer.
         """
         self._observers.append(observer)
 
     # -- progress ----------------------------------------------------------
 
-    def campaigns(self) -> List[StoredCampaign]:
-        """Journaled campaigns, in append order."""
-        return list(self._campaigns)
+    def campaigns(self, start: int = 0) -> List[StoredCampaign]:
+        """Journaled campaigns from record ``start`` on, in append order."""
+        return self._campaigns[start:]
 
     def completed_keys(self) -> Set[TaskKey]:
         return set(self._completed)

@@ -15,7 +15,11 @@ left behind into the questions an operator actually asks:
   from the root span down (ties broken by earlier start, then smaller
   span id).
 * **Straggler/utilization reports** across parallel workers, and an
-  ASCII flame/treemap rendering for terminals.
+  ASCII flame/treemap rendering for terminals.  Both use a task's
+  *execute* time: the engine journals a chunk's results when the chunk
+  commits, so a task's ``journal.append`` span can land long after its
+  work ended, and the gap (*commit-wait*) is the chunk's, not the
+  task's.
 
 Everything is a pure function of the trace bytes: the same trace
 directory analyzes to the same report bytes, every time.
@@ -51,8 +55,11 @@ _PHASE_OF = {
     "watchdog.recovery": "watchdog",
 }
 
-#: Stragglers run longer than this multiple of the median task.
+#: Stragglers execute longer than this multiple of the median task.
 STRAGGLER_FACTOR = 1.5
+
+#: The span that commits a task's result; everything else executes it.
+_COMMIT_SPAN = "journal.append"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,6 +84,9 @@ class TaskSummary:
     campaign: int
     start_s: float
     end_s: float
+    #: End of the task's own work: its last span other than the
+    #: deferred ``journal.append`` commit.
+    execute_end_s: float
     spans: int
     errors: int
     watchdog_events: int
@@ -87,6 +97,15 @@ class TaskSummary:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
+
+    @property
+    def execute_s(self) -> float:
+        return self.execute_end_s - self.start_s
+
+    @property
+    def commit_wait_s(self) -> float:
+        """From the end of the work to the end of its commit."""
+        return self.end_s - self.execute_end_s
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,7 +121,8 @@ class TraceAnalysis:
     #: Fair-share attribution across the whole session; sums to
     #: :attr:`total_session_s` (within float rounding).
     phase_seconds: Tuple[Tuple[str, float], ...]
-    #: Trace ids of tasks slower than ``STRAGGLER_FACTOR`` x median.
+    #: Trace ids of tasks whose execute time is over
+    #: ``STRAGGLER_FACTOR`` x the median.
     stragglers: Tuple[str, ...]
 
     @property
@@ -111,11 +131,11 @@ class TraceAnalysis:
 
     @property
     def utilization(self) -> float:
-        """Busy task time / (jobs x session time); 0 when unknown."""
+        """Task execute time / (jobs x session time); 0 when unknown."""
         capacity = self.jobs * self.total_session_s
         if capacity <= 0:
             return 0.0
-        busy = sum(task.duration_s for task in self.tasks)
+        busy = sum(task.execute_s for task in self.tasks)
         return busy / capacity
 
     def to_json_dict(self) -> Dict[str, object]:
@@ -138,6 +158,8 @@ class TraceAnalysis:
                     "start_s": task.start_s,
                     "end_s": task.end_s,
                     "duration_s": task.duration_s,
+                    "execute_s": task.execute_s,
+                    "commit_wait_s": task.commit_wait_s,
                     "spans": task.spans,
                     "errors": task.errors,
                     "watchdog_events": task.watchdog_events,
@@ -277,6 +299,7 @@ def _summarize_task(
         return None
     roots = [s for s in spans if s.name == "task"]
     root = roots[0] if roots else None
+    work = [s for s in timed if s.name != _COMMIT_SPAN] or timed
     segments = _innermost_segments(spans)
     phase_self = {phase: 0.0 for phase in PHASES}
     for start, end, phase in segments:
@@ -289,6 +312,7 @@ def _summarize_task(
         campaign=int(str(_attr(root, "campaign", -1))) if root else -1,
         start_s=min(s.start_s for s in timed),
         end_s=max(s.end_s for s in timed),
+        execute_end_s=max(s.end_s for s in work),
         spans=len(spans),
         errors=sum(1 for s in spans if s.status == "error"),
         watchdog_events=sum(1 for s in spans if s.name == "watchdog.recovery"),
@@ -349,14 +373,14 @@ def analyze_trace_dir(directory: Union[str, Path]) -> TraceAnalysis:
         all_segments.extend(_innermost_segments(by_trace[trace_id]))
 
     phases = _fair_share_attribution(windows, all_segments)
-    durations = sorted(task.duration_s for task in tasks)
+    durations = sorted(task.execute_s for task in tasks)
     stragglers: Tuple[str, ...] = ()
     if durations:
         median = durations[len(durations) // 2]
         stragglers = tuple(
             task.trace_id
-            for task in sorted(tasks, key=lambda t: -t.duration_s)
-            if task.duration_s > STRAGGLER_FACTOR * median
+            for task in sorted(tasks, key=lambda t: -t.execute_s)
+            if task.execute_s > STRAGGLER_FACTOR * median
         )
     return TraceAnalysis(
         trace_dir=str(directory),
@@ -399,17 +423,20 @@ def render_analysis(analysis: TraceAnalysis, width: int = 60) -> str:
         )
     if analysis.tasks:
         slowest = max(
-            analysis.tasks, key=lambda t: (t.duration_s, t.trace_id)
+            analysis.tasks, key=lambda t: (t.execute_s, t.trace_id)
         )
-        longest = max(task.duration_s for task in analysis.tasks)
-        lines.append("task treemap (duration-scaled):")
+        longest = max(task.execute_s for task in analysis.tasks)
+        lines.append(
+            "task treemap (execute-time-scaled, + commit-wait):"
+        )
         for task in analysis.tasks:
-            fraction = task.duration_s / longest if longest > 0 else 0.0
+            fraction = task.execute_s / longest if longest > 0 else 0.0
             flag = " *straggler*" if task.trace_id in analysis.stragglers \
                 else ""
             lines.append(
-                f"  {task.trace_id:<20} {task.duration_s:>10.6f} s "
-                f"{_bar(fraction, width // 2)}{flag}"
+                f"  {task.trace_id:<20} {task.execute_s:>10.6f} s "
+                f"{_bar(fraction, width // 2)} "
+                f"+{task.commit_wait_s:.6f} s{flag}"
             )
         lines.append(f"critical path of slowest task ({slowest.trace_id}):")
         for step in slowest.critical_path:

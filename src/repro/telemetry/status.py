@@ -312,13 +312,12 @@ def fleet_status(
     """
     # Lazy for the same reason as campaign_status: repro.store imports
     # repro.telemetry at module level.
-    from ..store import CampaignStore, StoreIndexes, FleetStore
+    from ..store import FleetStore
 
     opened = FleetStore.open(fleet)
     shards: List[FleetShardStatus] = []
-    for entry in opened.manifest.shards:
-        store = CampaignStore.open(opened.shard_path(entry))
-        indexes = StoreIndexes(store)
+    for entry, indexes in opened.indexes().bundles():
+        store = indexes.store
         vmin = indexes.vmin
         chip = store.manifest.spec.chip
         chip_name = (

@@ -48,3 +48,23 @@ def leslie3d_characterizations():
     return {
         core: framework.characterize(bench, core) for core in (0, 4)
     }
+
+
+@pytest.fixture()
+def decoded_lines(monkeypatch):
+    """Count journal-line decodes: patches
+    ``StoredCampaign.from_json_dict`` and returns the list it appends
+    each decoded line's (benchmark, core, campaign, seed) to."""
+    from repro.store import StoredCampaign
+
+    decoded = []
+    original = StoredCampaign.from_json_dict.__func__
+
+    def counting(cls, data):
+        decoded.append(
+            (data["benchmark"], data["core"], data["campaign"], data["seed"]))
+        return original(cls, data)
+
+    monkeypatch.setattr(StoredCampaign, "from_json_dict",
+                        classmethod(counting))
+    return decoded

@@ -14,6 +14,9 @@ The acceptance contracts under test:
 import dataclasses
 import json
 import multiprocessing
+import os
+import shutil
+from collections import Counter
 
 import pytest
 
@@ -161,11 +164,59 @@ class TestFleetLifecycle:
         store = fleet.shard_for(SPECS[1])
         assert store.manifest.spec == SPECS[1]
 
-    def test_swapped_shard_names_both_digests_and_path(self, tmp_path):
-        """A shard directory swapped underneath the fleet is caught, and
-        the error names the expected digest, the actual digest and the
-        offending shard path -- enough to fix the swap by hand."""
+    def test_swapped_shard_names_both_digests_and_path(self, tmp_path,
+                                                       capsys):
+        """A shard directory swapped underneath the fleet is caught by
+        every fleet reader, and the error names the expected digest, the
+        actual digest and the offending shard path -- enough to fix the
+        swap by hand."""
         fleet = make_fleet(tmp_path)
+        first, second = fleet.manifest.shards[:2]
+        # Holds shard 0 from before the swap; its first read of shard 1
+        # comes after.
+        trainer = FleetStreamingTrainer(FleetStore.open(tmp_path), core=0)
+        path_a = tmp_path / first.path
+        path_b = tmp_path / second.path
+        swap = tmp_path / "swap"
+        path_a.rename(swap)
+        path_b.rename(path_a)
+        swap.rename(path_b)
+
+        def names_the_swap(message, path):
+            assert first.spec_digest in message
+            assert second.spec_digest in message
+            assert str(path) in message
+
+        reopened = FleetStore.open(tmp_path)
+        readers = {
+            "shard": lambda: reopened.shard(reopened.manifest.shards[0]),
+            "indexes": lambda: FleetStore.open(tmp_path).indexes(),
+            "compact": lambda: FleetStore.open(tmp_path).compact(),
+            "refresh_watermarks":
+                lambda: FleetStore.open(tmp_path).refresh_watermarks(),
+        }
+        for name, read in readers.items():
+            with pytest.raises(StoreError) as excinfo:
+                read()
+            names_the_swap(str(excinfo.value), path_a)
+        with pytest.raises(StoreError) as excinfo:
+            trainer.consume()
+        names_the_swap(str(excinfo.value), path_b)
+
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(["fleet", "status", str(tmp_path)]) == 2
+        names_the_swap(capsys.readouterr().err, path_a)
+
+    def test_swap_under_a_held_fleet_is_caught_on_refresh(self, tmp_path):
+        """Shards already cached by a fleet object are re-checked when
+        their journal stops extending what was parsed."""
+        make_fleet(tmp_path)
+        run_fleet(tmp_path, shards=[FleetStore.open(tmp_path).manifest
+                                    .shards[0].name])
+        fleet = FleetStore.open(tmp_path)
+        fleet.indexes()
         first, second = fleet.manifest.shards[:2]
         path_a = tmp_path / first.path
         path_b = tmp_path / second.path
@@ -173,13 +224,12 @@ class TestFleetLifecycle:
         path_a.rename(swap)
         path_b.rename(path_a)
         swap.rename(path_b)
-        reopened = FleetStore.open(tmp_path)
         with pytest.raises(StoreError) as excinfo:
-            reopened.shard(reopened.manifest.shards[0])
+            fleet.refresh_watermarks()
         message = str(excinfo.value)
         assert first.spec_digest in message
         assert second.spec_digest in message
-        assert str(tmp_path / first.path) in message
+        assert str(path_a) in message
 
 
 class TestFleetEquivalence:
@@ -226,6 +276,27 @@ class TestFleetEquivalence:
             resumed = (fleet_dir / entry.path / JOURNAL_NAME).read_bytes()
             assert resumed == standalone_journals[spec.seed]
 
+    def test_held_fleet_resumes_after_in_place_cut(
+            self, complete_fleet, standalone_journals, tmp_path):
+        """Cut a shard journal in place (same inode) under a fleet
+        object that already parsed it: running that same object re-runs
+        exactly the cut tasks, and its warm indexes land back on the
+        pre-cut answers."""
+        fleet_dir = tmp_path / "fleet"
+        shutil.copytree(complete_fleet, fleet_dir)
+        fleet = FleetStore.open(fleet_dir)
+        before = fleet.indexes().serialize()
+        entry = fleet.manifest.shards[0]
+        journal = fleet_dir / entry.path / JOURNAL_NAME
+        os.truncate(journal, len(journal.read_bytes().splitlines(True)[0]))
+
+        report = run_fleet(fleet)
+        assert report.tasks_run == SHARD_TASKS - 1
+        assert journal.read_bytes() == standalone_journals[SPECS[0].seed]
+        indexes = fleet.indexes()
+        assert indexes.serialize() == before
+        assert before == indexes.serialize_reparse()
+
     def test_run_fleet_is_idempotent(self, complete_fleet):
         report = run_fleet(complete_fleet)
         assert report.tasks_run == 0
@@ -246,6 +317,45 @@ class TestFleetEquivalence:
         entry = fleet.manifest.entry_for(spec.digest())
         journal = (tmp_path / entry.path / JOURNAL_NAME).read_bytes()
         assert journal == standalone_journals[spec.seed]
+
+
+class TestParseOnce:
+    def test_fleet_read_path_decodes_every_line_once(
+            self, complete_fleet, tmp_path, decoded_lines):
+        """Open, replay, index, train and export through one fleet
+        object: every journal line is decoded exactly once.  The
+        re-parse check then decodes every line again."""
+        fleet_dir = tmp_path / "fleet"
+        shutil.copytree(complete_fleet, fleet_dir)
+        lines = sum(
+            len((fleet_dir / entry.path / JOURNAL_NAME).read_bytes()
+                .splitlines())
+            for entry in FleetStore.open(fleet_dir).manifest.shards
+        )
+
+        fleet = FleetStore.open(fleet_dir)
+        replay = run_fleet(fleet)
+        assert replay.tasks_run == 0
+        indexes = fleet.indexes()
+        trainer = FleetStreamingTrainer(fleet, core=0)
+        trainer.consume()
+        fleet.export_csv(tmp_path / "out")
+        assert len(decoded_lines) == lines
+        assert len(set(decoded_lines)) == lines
+
+        assert indexes.serialize() == indexes.serialize_reparse()
+        assert len(decoded_lines) == 2 * lines
+        assert set(Counter(decoded_lines).values()) == {2}
+
+    def test_repeated_index_refresh_keeps_one_observer_per_shard(
+            self, complete_fleet):
+        fleet = FleetStore.open(complete_fleet)
+        indexes = fleet.indexes()
+        for _ in range(4):
+            assert fleet.indexes() is indexes
+            indexes.refresh()
+        for _entry, store in fleet.shards():
+            assert len(store._observers) == 1
 
 
 class TestIndexEqualsReparse:

@@ -556,6 +556,55 @@ class TestAnalytics:
         analysis = analyze_trace_dir(tmp_path)
         assert analysis.stragglers == ("c:c0:k1",)
 
+    def test_late_commit_is_not_a_straggler(self, tmp_path):
+        # Three tasks execute for 1 s each; the first one's result is
+        # journaled at 10 s, when its chunk commits.  That wait is
+        # commit-wait, not work: no straggler, utilization from 3 s.
+        writer = TraceWriter(tmp_path)
+        for span_id, trace_id in enumerate(("a:c0:k1", "b:c0:k1", "c:c0:k1")):
+            start = float(span_id)
+            writer(SpanRecord(
+                trace_id=trace_id, name="task", span_id=10 * span_id + 1,
+                parent_id=None, start_s=start, end_s=start + 1.0,
+                attributes=(("benchmark", trace_id.split(":")[0]),
+                            ("core", 0), ("campaign", 1)),
+            ))
+        writer(SpanRecord(
+            trace_id="a:c0:k1", name="journal.append", span_id=2,
+            parent_id=None, start_s=9.5, end_s=10.0,
+        ))
+        analysis = analyze_trace_dir(tmp_path)
+        first = analysis.tasks[0]
+        assert first.duration_s == 10.0
+        assert first.execute_s == 1.0 and first.commit_wait_s == 9.0
+        assert analysis.stragglers == ()
+        assert analysis.utilization == pytest.approx(3.0 / 10.0)
+
+    def test_serial_grid_utilization_at_most_one_worker(self, tmp_path,
+                                                        capsys):
+        # Regression: this serial grid used to report ~165 % of 1
+        # worker and flag its first task a straggler, because each
+        # task's time ran to its append at chunk commit.
+        assert main([
+            "grid", "TTT", "--benchmarks", "bwaves,mcf,gcc",
+            "--cores", "0,2", "--campaigns", "2",
+            "--store", str(tmp_path / "S"), "--trace", str(tmp_path / "T"),
+        ]) == 0
+        capsys.readouterr()
+        analysis = analyze_trace_dir(tmp_path / "T")
+        assert analysis.jobs == 1 and len(analysis.tasks) == 12
+        assert 0 < analysis.utilization <= 1.0
+        for task in analysis.tasks:
+            assert task.commit_wait_s >= 0
+            assert task.execute_s + task.commit_wait_s == pytest.approx(
+                task.duration_s)
+        executes = sorted(task.execute_s for task in analysis.tasks)
+        median = executes[len(executes) // 2]
+        assert set(analysis.stragglers) == {
+            task.trace_id for task in analysis.tasks
+            if task.execute_s > 1.5 * median
+        }
+
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no trace"):
             analyze_trace_dir(tmp_path)
