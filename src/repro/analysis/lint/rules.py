@@ -726,7 +726,7 @@ class SinglePersistencePath(Rule):
         "(repro.store.durable); ad-hoc csv.writer/json.dump of run records "
         "or os-level replace/rename/fsync elsewhere forks them and breaks resume"
     )
-    protects = "the repro-campaign/v1 journal as the single source of truth"
+    protects = "the repro-campaign/v2 journal as the single source of truth"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if not _is_repro_module(ctx) or _module_package(ctx) == "store":

@@ -10,6 +10,8 @@ One subcommand per workflow::
     repro resume STORE                continue a journaled campaign grid
     repro status STORE [--models]     campaign progress, tallies, ETA,
                                       and saved model artifacts
+    repro migrate PATH                rewrite a repro-campaign/v1 store
+                                      (or fleet) as v2, in place
     repro tradeoffs                   the Figure-9 ladder + headlines
     repro predict                     the Section-4.3 studies
     repro predict --model STORE       serve the latest trained artifact
@@ -76,7 +78,7 @@ from .prediction import (
     PredictionPipeline,
     StreamingTrainer,
 )
-from .store import CampaignStore
+from .store import STORE_FORMAT, CampaignStore, migrate_store
 from .units import PMD_NOMINAL_MV
 from .workloads import all_programs, get_benchmark
 
@@ -324,6 +326,21 @@ def _run_resume(args: argparse.Namespace) -> int:
     _print_grid_summary(results)
     store.export_csv()
     print(f"CSV artifacts exported to {store.directory}")
+    return 0
+
+
+def _cmd_migrate(args: argparse.Namespace) -> int:
+    """Rewrite a repro-campaign/v1 store (or fleet) as v2 in place."""
+    try:
+        migrated = migrate_store(args.store)
+    except CampaignError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if migrated:
+        print(f"migrated {len(migrated)} campaign store(s) to "
+              f"{STORE_FORMAT}: " + ", ".join(str(p) for p in migrated))
+    else:
+        print(f"nothing to migrate: already {STORE_FORMAT}")
     return 0
 
 
@@ -873,6 +890,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker count for the remaining tasks")
     _add_telemetry_flags(p_resume)
     p_resume.set_defaults(func=_cmd_resume)
+
+    p_migrate = sub.add_parser(
+        "migrate", help="rewrite a repro-campaign/v1 store (or every shard "
+                        "of a fleet) as v2, in place")
+    p_migrate.add_argument("store", metavar="PATH",
+                           help="campaign store or fleet directory")
+    p_migrate.set_defaults(func=_cmd_migrate)
 
     p_status = sub.add_parser(
         "status", help="report a campaign store's progress and tallies")

@@ -28,7 +28,7 @@ from .runs import CharacterizationSetup, RunRecord
 from .campaign import CampaignResult, CharacterizationResult
 from .watchdog import WatchdogMonitor
 from .framework import CharacterizationFramework, FrameworkConfig
-from .parser import ParsedRun, parse_log
+from .parser import ParsedRun, parse_log, parse_records
 from .regions import OperatingRegions, Region, regions_from_counts
 from .results import ResultStore
 
@@ -52,6 +52,7 @@ __all__ = [
     "FrameworkConfig",
     "ParsedRun",
     "parse_log",
+    "parse_records",
     "OperatingRegions",
     "Region",
     "regions_from_counts",

@@ -8,6 +8,12 @@ preserves the paper's architecture and its failure mode: a system crash
 truncates the run's block (no exit-code line is ever written), and the
 parser classifies exactly from what survived.
 
+:func:`parse_log` yields :class:`ParsedRun` s, :func:`parse_records`
+the :class:`~repro.core.runs.RunRecord` s the rest of the stack
+aggregates; both read the log through one block scanner.  The raw log
+is the measurement: the campaign store journals only the log and
+re-derives the records through :func:`parse_records`.
+
 Diagnostics go through the structured telemetry logger (silent unless
 a telemetry session is active) instead of the :mod:`logging` module.
 """
@@ -16,12 +22,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from .. import telemetry
 from ..effects import EffectType
 from ..errors import ParseError
 from .effects import classify_run
+from .runs import CharacterizationSetup, RunRecord
 
 _LOG = telemetry.get_logger("repro.core.parser")
 
@@ -34,6 +41,8 @@ _HEADER_RE = re.compile(
     r"campaign=(?P<campaign>\d+) run=(?P<run>\d+) ===$"
 )
 _KV_RE = re.compile(r"(\w+)=(\S+)")
+#: Line boundaries :meth:`str.splitlines` honours besides ``"\n"``.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -104,20 +113,48 @@ def format_run_block(
     return "\n".join(lines) + "\n"
 
 
-def _parse_block(lines: List[str]) -> ParsedRun:
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        _LOG.error("malformed run header", header=lines[0])
-        raise ParseError(f"malformed run header: {lines[0]!r}")
+#: What a header fixes short of the run index:
+#: (chip, benchmark, core, voltage_mv, freq_mhz, campaign_index).
+_Head = Tuple[str, str, int, int, int, int]
+#: What a block's body -- every line after its header -- fixes:
+#: (effects, exit_code, output_matches, edac_ce, edac_ue,
+#: watchdog_action, edac_locations).
+_Body = Tuple[
+    FrozenSet[EffectType], Optional[int], Optional[bool], int, int, str,
+    Dict[str, int],
+]
+
+
+def _parse_header(line: str) -> _Head:
+    """The fields one header line fixes short of its run index."""
+    match = _HEADER_RE.match(line)
+    if match is None:
+        _LOG.error("malformed run header", header=line)
+        raise ParseError(f"malformed run header: {line!r}")
+    return (
+        match["chip"],
+        match["benchmark"],
+        int(match["core"]),
+        int(match["voltage"]),
+        int(match["freq"]),
+        int(match["campaign"]),
+    )
+
+
+def _parse_body(header: str, body: str) -> _Body:
+    """Classify one block from the text after its ``header`` line.
+
+    A ``key=value`` pair never spans a line break, so the whole body
+    is scanned at once.
+    """
     fields: Dict[str, str] = {}
-    for line in lines[1:]:
-        for key, value in _KV_RE.findall(line):
-            fields[key] = value
+    for key, value in _KV_RE.findall(body):
+        fields[key] = value
 
     status = fields.get("status")
     if status is None:
-        _LOG.error("run block missing status line", header=lines[0])
-        raise ParseError(f"run block missing status line: {lines[0]!r}")
+        _LOG.error("run block missing status line", header=header)
+        raise ParseError(f"run block missing status line: {header!r}")
     responsive = status != "system_crash"
     exit_code = int(fields["exit_code"]) if "exit_code" in fields else None
     output = fields.get("output")
@@ -132,11 +169,7 @@ def _parse_block(lines: List[str]) -> ParsedRun:
         edac_ce=edac_ce,
         edac_ue=edac_ue,
     )
-    output_matches: Optional[bool]
-    if output is None:
-        output_matches = None
-    else:
-        output_matches = output == expected
+    output_matches = None if output is None else output == expected
     locations: Dict[str, int] = {}
     if "edac_locations" in fields:
         for pair in fields["edac_locations"].split(","):
@@ -144,40 +177,122 @@ def _parse_block(lines: List[str]) -> ParsedRun:
             if not key or not count.isdigit():
                 raise ParseError(f"malformed edac_locations entry: {pair!r}")
             locations[key] = int(count)
-    return ParsedRun(
-        chip=header["chip"],
-        benchmark=header["benchmark"],
-        core=int(header["core"]),
-        voltage_mv=int(header["voltage"]),
-        freq_mhz=int(header["freq"]),
-        campaign_index=int(header["campaign"]),
-        run_index=int(header["run"]),
-        effects=effects,
-        exit_code=exit_code,
-        output_matches=output_matches,
-        edac_ce=edac_ce,
-        edac_ue=edac_ue,
-        watchdog_action=fields.get("watchdog", "none"),
-        edac_locations=locations,
+    return (
+        effects,
+        exit_code,
+        output_matches,
+        edac_ce,
+        edac_ue,
+        fields.get("watchdog", "none"),
+        locations,
     )
+
+
+def _scan(text: str) -> Iterator[Tuple[_Head, int, _Body]]:
+    """The block scanner behind :func:`parse_log` and
+    :func:`parse_records`: ``(head, run index, body)`` per run block.
+
+    A block starts at every line that starts with :data:`RUN_HEADER`
+    (lines as :meth:`str.splitlines` cuts them); anything but blank
+    lines before the first block is an error.  A block's body -- the
+    text after its header line -- fully determines its classified
+    fields, and a campaign repeats a few dozen distinct bodies over
+    its runs, so each distinct body is classified once per log.
+    """
+    if any(brk in text for brk in _OTHER_BREAKS):
+        # The split below cuts on "\n" alone.
+        text = "\n".join(text.splitlines())
+    lead, *blocks = ("\n" + text).split("\n" + RUN_HEADER)
+    for line in lead.splitlines():
+        if line.strip():
+            raise ParseError(f"content before first run header: {line!r}")
+    heads: Dict[str, _Head] = {}
+    bodies: Dict[str, _Body] = {}
+    for block in blocks:
+        rest, _newline, body_text = block.partition("\n")
+        # The headers of one voltage level differ only in their run
+        # index: the regex runs once per distinct prefix, and a header
+        # sharing a matched prefix matches it iff its tail does.
+        prefix, _run, tail = rest.rpartition(" run=")
+        head = heads.get(prefix)
+        if head is None or not (
+            tail.endswith(" ===") and tail[:-4].isdecimal()
+        ):
+            head = heads[prefix] = _parse_header(RUN_HEADER + rest)
+        body = bodies.get(body_text)
+        if body is None:
+            body = bodies[body_text] = _parse_body(
+                RUN_HEADER + rest, body_text
+            )
+        yield head, int(tail[:-4]), body
 
 
 def parse_log(text: str) -> List[ParsedRun]:
     """Parse a whole campaign log into classified runs."""
-    blocks: List[List[str]] = []
-    current: List[str] = []
-    for line in text.splitlines():
-        if line.startswith(RUN_HEADER):
-            if current:
-                blocks.append(current)
-            current = [line]
-        elif current:
-            current.append(line)
-        elif line.strip():
-            raise ParseError(f"content before first run header: {line!r}")
-    if current:
-        blocks.append(current)
-    runs = [_parse_block(block) for block in blocks]
+    runs = [
+        ParsedRun(
+            chip=head[0],
+            benchmark=head[1],
+            core=head[2],
+            voltage_mv=head[3],
+            freq_mhz=head[4],
+            campaign_index=head[5],
+            run_index=run_index,
+            effects=body[0],
+            exit_code=body[1],
+            output_matches=body[2],
+            edac_ce=body[3],
+            edac_ue=body[4],
+            watchdog_action=body[5],
+            edac_locations=dict(body[6]),
+        )
+        for head, run_index, body in _scan(text)
+    ]
     telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(runs))
     _LOG.debug("parsed campaign log", runs=len(runs))
     return runs
+
+
+def parse_records(text: str) -> Tuple[RunRecord, ...]:
+    """Parse a whole campaign log straight into :class:`RunRecord` s.
+
+    Field-equal to the records the execution phase builds for the same
+    log (the batch kernel's, or the parsing phase's), ``detail`` and
+    watchdog flags included -- the campaign store derives every
+    journaled record through here.  Raises the same
+    :class:`~repro.errors.ParseError` s as :func:`parse_log` and bumps
+    no metric: run and effect counters belong to the framework's
+    parsing phase, not to every re-derivation of a stored log.
+    """
+    new_record = RunRecord.__new__
+    setups: Dict[Tuple[int, int, int], CharacterizationSetup] = {}
+    records: List[RunRecord] = []
+    for head, run_index, body in _scan(text):
+        chip, benchmark, core, voltage_mv, freq_mhz, campaign_index = head
+        key = (voltage_mv, freq_mhz, core)
+        setup = setups.get(key)
+        if setup is None:
+            setup = setups[key] = CharacterizationSetup(
+                voltage_mv=voltage_mv, freq_mhz=freq_mhz, core=core
+            )
+        effects, exit_code, matches, edac_ce, edac_ue, action, locations = body
+        # Laid out directly into a fresh instance, as the batch kernel
+        # does: the frozen dataclass __init__ pays one
+        # object.__setattr__ per field.
+        record = new_record(RunRecord)
+        record.__dict__.update(
+            chip=chip,
+            benchmark=benchmark,
+            setup=setup,
+            campaign_index=campaign_index,
+            run_index=run_index,
+            effects=effects,
+            exit_code=exit_code,
+            output_matches=matches,
+            edac_ce=edac_ce,
+            edac_ue=edac_ue,
+            watchdog_intervened=action != "none",
+            detail=dict(locations),
+        )
+        records.append(record)
+    return tuple(records)

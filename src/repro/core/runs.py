@@ -119,10 +119,16 @@ class RunRecord:
         except (KeyError, ValueError) as exc:
             raise CampaignError(f"malformed run CSV row {dict(row)!r}: {exc}")
 
-    # -- journal (JSONL) codec --------------------------------------------
+    # -- repro-campaign/v1 record codec -----------------------------------
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for the campaign journal (``repro.store``)."""
+        """Plain-dict form of one entry of a ``repro-campaign/v1``
+        journal line's ``records``.
+
+        v2 journals keep only the raw log and re-derive records from
+        it (:func:`repro.core.parser.parse_records`); this codec is
+        what :func:`repro.store.migrate_store` checks v1 lines with.
+        """
         return {
             "chip": self.chip,
             "benchmark": self.benchmark,

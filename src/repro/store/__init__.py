@@ -5,8 +5,9 @@ crashes and accumulating everything into uniform CSV artifacts
 (Section 2.2) -- and Section 5 frames it as something a datacenter
 operator runs continuously across many machines.  This package is that
 durability layer for the reproduction: a schema-versioned
-(``repro-campaign/v1``), append-only journal where every completed
-campaign lands as typed records under a manifest that pins the machine
+(``repro-campaign/v2``), append-only journal where every completed
+campaign lands as its raw log -- the typed records are re-derived from
+it -- under a manifest that pins the machine
 spec, grid, seed material and severity weights -- plus the fleet layer
 (``repro-fleet/v1``) that shards one journal per machine under an
 atomically written fleet manifest, and warm in-memory indexes that
@@ -17,6 +18,8 @@ answer Vmin/severity/prediction queries without re-parsing journals.
 * :class:`CampaignManifest` -- the grid definition embedded in
   ``manifest.json``.
 * :class:`StoredCampaign` -- one journal line.
+* :func:`migrate_store` -- rewrite ``repro-campaign/v1`` stores (or
+  every shard of a fleet) as v2 in place (``repro migrate``).
 * :class:`FleetStore` / :class:`FleetManifest` -- one campaign shard
   per :class:`~repro.machines.MachineSpec` with write routing,
   watermark tracking and grid-order compaction
@@ -67,6 +70,7 @@ from .journal import (
     CampaignStore,
     TaskKey,
 )
+from .migrate import migrate_store
 from .models import (
     MODEL_FORMAT,
     MODELS_DIR,
@@ -100,6 +104,7 @@ __all__ = [
     "StoreIndexes",
     "StoredCampaign",
     "TaskKey",
+    "migrate_store",
     "reparse_serialization",
     "train_set_digest",
 ]

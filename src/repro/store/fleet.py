@@ -3,14 +3,14 @@
 The paper frames Vmin characterization as something a datacenter
 operator runs *continuously across many machines* (Section 5); a fleet
 store is the on-disk shape of that: a directory owning one
-``repro-campaign/v1`` :class:`~repro.store.journal.CampaignStore`
+``repro-campaign/v2`` :class:`~repro.store.journal.CampaignStore`
 shard per :class:`~repro.machines.MachineSpec`, under an atomically
 written fleet manifest (``fleet.json``)::
 
     fleet-root/
       fleet.json                    <- format tag, grid, shard table
       shards/
-        m00-5a3f2b1c/               <- one full repro-campaign/v1 store
+        m00-5a3f2b1c/               <- one full repro-campaign/v2 store
           manifest.json
           journal.jsonl
         m01-9e0d4c77/
@@ -401,10 +401,10 @@ class FleetStore:
         return all(entry.complete for entry in self.manifest.shards)
 
     def pending_tasks(self) -> Dict[str, List[TaskKey]]:
-        """Per shard name, the grid tasks not yet journaled."""
+        """Per shard name, the grid tasks not yet journaled on disk."""
         return {
-            entry.name: store.pending_keys()
-            for entry, store in self.shards()
+            entry.name: self.refreshed_shard(entry).pending_keys()
+            for entry in self.manifest.shards
         }
 
     # -- warm indexes ------------------------------------------------------
@@ -528,12 +528,16 @@ class FleetStore:
 
         Each shard exports exactly what its standalone
         :meth:`CampaignStore.export_csv` would -- fleet aggregation
-        never invents a new serialization of run data.
+        never invents a new serialization of run data -- from its
+        journal as it is on disk now, appends by other processes
+        included.
         """
         base = self.directory if directory is None else Path(directory)
         exports: Dict[str, Dict[str, Path]] = {}
-        for entry, store in self.shards():
-            exports[entry.name] = store.export_csv(Path(base) / entry.name)
+        for entry in self.manifest.shards:
+            exports[entry.name] = self.refreshed_shard(entry).export_csv(
+                Path(base) / entry.name
+            )
         return exports
 
 

@@ -1,4 +1,4 @@
-"""The append-only campaign journal (``repro-campaign/v1``).
+"""The append-only campaign journal (``repro-campaign/v2``).
 
 A campaign store is a directory with exactly two files:
 
@@ -11,15 +11,20 @@ A campaign store is a directory with exactly two files:
   the grid and every task's derived seed -- which is what makes a
   journal resumable bit-identically.
 * ``journal.jsonl`` -- one line per completed (workload, core,
-  campaign) task (see :class:`~repro.store.records.StoredCampaign`),
-  appended as tasks finish through a
+  campaign) task (see :class:`~repro.store.records.StoredCampaign`):
+  the task's coordinates, seed, intervention count and raw log, from
+  which every run record is re-derived on load.  Lines are appended
+  as tasks finish through a
   :class:`~repro.store.durable.AppendLog`: a crash can leave at most a
   torn trailing line, which loading drops; corruption anywhere else is
   an error, never silently skipped.
 
 The store is the single durable persistence path of the stack; the
 paper's Section-2.2 CSV artifacts are *derived* from it via
-:meth:`CampaignStore.export_csv`.
+:meth:`CampaignStore.export_csv`.  Stores of the retired
+``repro-campaign/v1`` format, whose lines also carried every record as
+JSON, are refused on open; ``repro migrate`` (:mod:`repro.store.migrate`)
+rewrites them in place.
 """
 
 from __future__ import annotations
@@ -45,9 +50,10 @@ from typing import (
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
 from ..core.framework import FrameworkConfig
+from ..core.parser import parse_records
 from ..core.results import ResultStore
 from ..core.severity import DEFAULT_WEIGHTS, SeverityWeights
-from ..errors import CampaignError, ConfigurationError, StoreError
+from ..errors import CampaignError, ConfigurationError, ParseError, StoreError
 from ..machines import MachineSpec
 from ..workloads import get_program
 from ..workloads.benchmark import Program
@@ -58,7 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .models import ModelStore
 
 #: Format tag of the store schema, written into every manifest.
-STORE_FORMAT = "repro-campaign/v1"
+STORE_FORMAT = "repro-campaign/v2"
+#: The retired format whose journal lines also carried every record as
+#: JSON; only :func:`repro.store.migrate.migrate_store` reads it.
+V1_STORE_FORMAT = "repro-campaign/v1"
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 
@@ -123,6 +132,13 @@ class CampaignManifest:
         """
         where = "" if source is None else f" at {source}"
         fmt = data.get("format")
+        if fmt == V1_STORE_FORMAT:
+            target = "PATH" if source is None else str(Path(source).parent)
+            raise StoreError(
+                f"campaign store{where} has the retired format {fmt!r}; "
+                f"rewrite it as {STORE_FORMAT!r} with `repro migrate "
+                f"{target}`"
+            )
         if fmt != STORE_FORMAT:
             raise StoreError(
                 f"unsupported campaign-store format {fmt!r}{where} "
@@ -267,8 +283,11 @@ class CampaignStore:
         seen: Set[TaskKey] = set()
         end = start
         for end, data in self._log.lines(start, payload):
-            campaign = StoredCampaign.from_json_dict(data)
             number = known + len(fresh) + 1
+            try:
+                campaign = StoredCampaign.from_json_dict(data)
+            except CampaignError as exc:
+                raise StoreError(f"journal line {number}: {exc}") from exc
             if campaign.key not in self._expected:
                 raise CampaignError(
                     f"journal line {number} records task "
@@ -331,7 +350,13 @@ class CampaignStore:
         seed: int,
         interventions: int,
     ) -> StoredCampaign:
-        """Journal one completed campaign (flush + fsync before return)."""
+        """Journal one completed campaign (flush + fsync before return).
+
+        The line carries only the campaign's ``raw_log``, so after the
+        grid and duplicate checks the records are re-derived from it:
+        a campaign whose ``result.records`` differ is refused, and the
+        records held in memory always equal what a reopen derives.
+        """
         stored = StoredCampaign(
             benchmark=result.benchmark,
             core=result.core,
@@ -348,6 +373,17 @@ class CampaignStore:
             )
         if stored.key in self._completed:
             raise CampaignError(f"task {stored.key!r} is already journaled")
+        try:
+            derived = parse_records(raw_log)
+        except ParseError as exc:
+            raise CampaignError(
+                f"task {stored.key!r}: its raw log does not parse: {exc}"
+            ) from exc
+        if derived != result.records:
+            raise CampaignError(
+                f"task {stored.key!r}: its raw log does not re-derive the "
+                f"campaign's records, and the journal keeps only the log"
+            )
         line = json.dumps(stored.to_json_dict(), sort_keys=True)
         fsync_started = telemetry.clock()
         # A real span (not a point event) so trace analytics can

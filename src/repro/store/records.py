@@ -1,11 +1,14 @@
-"""Journal payloads of the campaign store.
+"""Journal payloads of the campaign store (``repro-campaign/v2``).
 
-One journal line is one completed campaign: the parsed
-:class:`~repro.core.runs.RunRecord` set plus the provenance a resume
-needs to prove bit-identity -- the derived machine seed the campaign
-ran with, the watchdog intervention count and the raw log text.  The
-line is self-contained on purpose; replaying a journal never requires
-re-running or re-parsing anything.
+One journal line is one completed campaign: its raw log text plus the
+provenance a resume needs to prove bit-identity -- the derived machine
+seed the campaign ran with and the watchdog intervention count.  The
+raw log is the measurement, as in the paper's framework: the
+:class:`~repro.core.runs.RunRecord` set is *derived* from it by
+:func:`~repro.core.parser.parse_records` whenever a line is decoded,
+and :meth:`~repro.store.journal.CampaignStore.append_campaign` refuses
+a campaign whose records differ from that derivation.  The line is
+self-contained on purpose; replaying a journal never re-runs anything.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 from ..core.campaign import CampaignResult
+from ..core.parser import parse_records
 from ..core.runs import RunRecord
-from ..errors import CampaignError
+from ..errors import CampaignError, ConfigurationError, ParseError
 
 
 @dataclass(frozen=True)
@@ -32,14 +36,27 @@ class StoredCampaign:
     freq_mhz: int
     #: Watchdog recoveries performed during this campaign.
     interventions: int
-    #: Raw campaign log text, so the derived CSV/log exports of a
-    #: resumed grid equal those of an uninterrupted one.
+    #: Raw campaign log text: the journaled measurement every record
+    #: and export is derived from.
     raw_log: str
     records: Tuple[RunRecord, ...]
 
     def __post_init__(self) -> None:
         if not self.records:
             raise CampaignError("a stored campaign needs at least one record")
+        task = (self.benchmark, self.core, self.campaign_index, self.freq_mhz)
+        for record in self.records:
+            found = (
+                record.benchmark,
+                record.setup.core,
+                record.campaign_index,
+                record.setup.freq_mhz,
+            )
+            if found != task:
+                raise CampaignError(
+                    f"a run of (benchmark, core, campaign, freq_mhz) "
+                    f"{found!r} cannot belong to stored task {task!r}"
+                )
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -65,7 +82,7 @@ class StoredCampaign:
     # -- JSONL codec -------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-dict form of one journal line."""
+        """Plain-dict form of one journal line (records are derived)."""
         return {
             "benchmark": self.benchmark,
             "core": self.core,
@@ -74,13 +91,14 @@ class StoredCampaign:
             "freq_mhz": self.freq_mhz,
             "interventions": self.interventions,
             "raw_log": self.raw_log,
-            "records": [record.to_json_dict() for record in self.records],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "StoredCampaign":
-        """Inverse of :meth:`to_json_dict`."""
+        """Inverse of :meth:`to_json_dict`: the records are re-derived
+        from ``raw_log``."""
         try:
+            raw_log = data["raw_log"]
             return cls(
                 benchmark=data["benchmark"],
                 core=int(data["core"]),
@@ -88,11 +106,10 @@ class StoredCampaign:
                 seed=int(data["seed"]),
                 freq_mhz=int(data["freq_mhz"]),
                 interventions=int(data["interventions"]),
-                raw_log=data["raw_log"],
-                records=tuple(
-                    RunRecord.from_json_dict(entry)
-                    for entry in data["records"]
-                ),
+                raw_log=raw_log,
+                records=parse_records(raw_log),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (
+            KeyError, ValueError, TypeError, ParseError, ConfigurationError
+        ) as exc:
             raise CampaignError(f"malformed journal campaign line: {exc}")

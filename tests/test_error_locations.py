@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.error_locations import location_profiles, onset_table
 from repro.core import CharacterizationFramework, FrameworkConfig
-from repro.core.parser import format_run_block, parse_log
+from repro.core.parser import format_run_block, parse_log, parse_records
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
 from repro.errors import CampaignError, ParseError
@@ -23,6 +23,7 @@ class TestLogRoundTrip:
         )
         run = parse_log(text)[0]
         assert run.edac_locations == {"ce_L2": 2, "ce_L3": 1, "ue_L2": 1}
+        assert parse_records(text)[0].detail == run.edac_locations
 
     def test_absent_locations_parse_as_empty(self):
         text = format_run_block(
@@ -32,6 +33,7 @@ class TestLogRoundTrip:
             responsive=True,
         )
         assert parse_log(text)[0].edac_locations == {}
+        assert parse_records(text)[0].detail == {}
 
     def test_malformed_locations_rejected(self):
         text = format_run_block(
@@ -40,8 +42,9 @@ class TestLogRoundTrip:
             output="a", expected_output="a", edac_ce=1, edac_ue=0,
             responsive=True, edac_locations={"ce_L2": 1},
         ).replace("ce_L2:1", "ce_L2:banana")
-        with pytest.raises(ParseError):
-            parse_log(text)
+        for parse in (parse_log, parse_records):
+            with pytest.raises(ParseError, match="edac_locations"):
+                parse(text)
 
 
 def _record(voltage, detail):

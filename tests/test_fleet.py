@@ -629,6 +629,46 @@ class TestFleetDerived:
         for entry in fleet.manifest.shards:
             assert f"### Shard {entry.name}" in text
 
+    def test_held_fleet_serves_appends_of_another_object(self, tmp_path):
+        """Fleet object A already served exports and pending tasks from
+        its cached shards; after object B appends, A's answers must
+        equal a cold open's, byte for byte."""
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(fleet_dir)
+        held = FleetStore.open(fleet_dir)
+        first = held.manifest.shards[0]
+        run_fleet(held, shards=[first.name])
+        held.export_csv(tmp_path / "before")
+        assert held.pending_tasks()[first.name] == []
+
+        run_fleet(FleetStore.open(fleet_dir))  # object B
+
+        cold = FleetStore.open(fleet_dir)
+        held.export_csv(tmp_path / "held")  # before anything refreshes
+        cold.export_csv(tmp_path / "cold")
+        cold_files = sorted(
+            path.relative_to(tmp_path / "cold")
+            for path in (tmp_path / "cold").rglob("*") if path.is_file()
+        )
+        held_files = sorted(
+            path.relative_to(tmp_path / "held")
+            for path in (tmp_path / "held").rglob("*") if path.is_file()
+        )
+        assert held_files == cold_files
+        assert len(cold_files) > len(SPECS) * 2
+        for relative in cold_files:
+            assert (tmp_path / "held" / relative).read_bytes() == \
+                (tmp_path / "cold" / relative).read_bytes()
+
+    def test_held_fleet_pending_tasks_see_another_object(self, tmp_path):
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(fleet_dir)
+        held = FleetStore.open(fleet_dir)
+        assert all(held.pending_tasks().values())
+        run_fleet(FleetStore.open(fleet_dir))  # object B
+        assert held.pending_tasks() == FleetStore.open(fleet_dir).pending_tasks()
+        assert all(not keys for keys in held.pending_tasks().values())
+
     def test_fleet_export_matches_standalone_export(
             self, complete_fleet, tmp_path, standalone_journals):
         fleet = FleetStore.open(complete_fleet)

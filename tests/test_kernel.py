@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import CharacterizationFramework, FrameworkConfig
 from repro.core.kernel import RunGeneratorFactory, VoltageTable
+from repro.core.parser import parse_records
 from repro.faults.injection import FaultInjector, Injection
 from repro.faults.models import FunctionalUnit
 # reprolint: disable=RPR003 -- compile_batch_table is the concrete machine's hook
@@ -41,9 +42,20 @@ def _scalar_reference_rng(key: bytes) -> np.random.Generator:
     return np.random.default_rng(digest)
 
 
+def _assert_records_derive(framework, campaign):
+    """The campaign's records are exactly what its raw log parses to --
+    the derivation the campaign store relies on, ``detail`` and
+    watchdog flags included."""
+    key = (campaign.benchmark, campaign.core, campaign.freq_mhz,
+           campaign.campaign_index)
+    assert parse_records(framework.raw_logs[key]) == campaign.records
+
+
 def _campaign_observables(machine, config, use_kernel, bench="mcf", core=0):
     framework = CharacterizationFramework(machine, config, use_kernel=use_kernel)
     result = framework.characterize(get_benchmark(bench), core=core)
+    for campaign in result.campaigns:
+        _assert_records_derive(framework, campaign)
     records = tuple(
         record.csv_row()
         for campaign in result.campaigns
@@ -236,8 +248,15 @@ class TestKernelFallbackMatrix:
             FrameworkConfig(start_mv=905, campaigns=1, runs_per_level=2),
             use_kernel=True,
         )
-        framework.run_campaign(get_benchmark("mcf"), core=0)
+        campaign = framework.run_campaign(get_benchmark("mcf"), core=0)
         assert framework.last_campaign_path == "scalar"
+        _assert_records_derive(framework, campaign)
+        # The derivation above covered every block shape the parser
+        # must get right: located EDAC errors, system crashes and
+        # watchdog recoveries.
+        assert any(record.detail for record in campaign.records)
+        assert any(record.crashed_system for record in campaign.records)
+        assert any(record.watchdog_intervened for record in campaign.records)
 
     def test_undervolted_soc_falls_back_to_scalar(self):
         machine = _machine(seed=7)
@@ -249,8 +268,9 @@ class TestKernelFallbackMatrix:
             FrameworkConfig(start_mv=905, campaigns=1, runs_per_level=2),
             use_kernel=True,
         )
-        framework.run_campaign(get_benchmark("mcf"), core=0)
+        campaign = framework.run_campaign(get_benchmark("mcf"), core=0)
         assert framework.last_campaign_path == "scalar"
+        _assert_records_derive(framework, campaign)
 
     def test_compile_returns_table_for_plain_machine(self):
         machine = _machine()

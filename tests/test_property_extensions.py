@@ -1,5 +1,7 @@
 """Property-based tests for the extension models and the generator."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,11 @@ from repro.hardware.dynamics import (
     TemperatureSensitivity,
 )
 from repro.hardware.variation import ChipGenerator
-from repro.workloads.benchmark import WorkloadTraits, solve_traits_for_stress
+from repro.workloads.benchmark import (
+    WorkloadTraits,
+    solve_traits_for_stress,
+    stress_from_traits,
+)
 from repro.workloads.generator import SyntheticWorkloadGenerator
 
 
@@ -103,3 +109,16 @@ class TestGeneratorProperties:
         assert 0.0 <= bench.stress <= 1.0
         assert 0.0 <= bench.smoothness <= 1.0
         assert bench.traits.instructions > 0
+
+    @pytest.mark.parametrize("seed", [3130, 15147, 19411, 19959])
+    def test_rounding_edge_seeds_draw(self, seed):
+        """Every seed in 0..19999 that used to raise "stress ...
+        unreachable from template": its fixed-rate target sat at an end
+        of its range, and rounding the template's rates left a residual
+        the stall and exception terms missed by a rounding error."""
+        bench = SyntheticWorkloadGenerator(seed=seed).draw()
+        # draw() spends its first uniform on the target stress.
+        target = float(np.random.default_rng(seed).uniform(0.0, 1.0))
+        assert bench.stress == pytest.approx(target, abs=1e-4)
+        assert stress_from_traits(bench.traits) == pytest.approx(
+            bench.stress, abs=1e-6)

@@ -14,7 +14,7 @@ from repro.core.campaign import CharacterizationResult
 from repro.core.results import ResultStore
 from repro.core.runs import CharacterizationSetup, RunRecord
 from repro.effects import EffectType
-from repro.errors import CampaignError, ConfigurationError
+from repro.errors import CampaignError, ConfigurationError, StoreError
 from repro.machines import build_machine
 from repro.parallel import (
     MachineSpec,
@@ -29,6 +29,12 @@ from repro.store import (
     MANIFEST_NAME,
     STORE_FORMAT,
     StoredCampaign,
+)
+from repro.telemetry import (
+    M_EFFECTS,
+    M_PARSER_RUNS,
+    MetricsRegistry,
+    telemetry_session,
 )
 from repro.workloads import get_benchmark
 
@@ -174,6 +180,12 @@ class TestRunRecordCodecs:
             RunRecord.from_csv_row({"chip": "TTT", "core": "not-an-int"})
 
 
+def raw_log_of(reference, campaign):
+    """The raw log the reference run recorded for ``campaign``."""
+    return reference.raw_logs[(campaign.benchmark, campaign.core,
+                               campaign.freq_mhz, campaign.campaign_index)]
+
+
 class TestStoredCampaign:
     def stored(self, reference):
         result = reference.results[("bwaves", 0)]
@@ -183,7 +195,7 @@ class TestStoredCampaign:
             campaign_index=campaign.campaign_index,
             seed=derive_task_seed(SPEC.seed, "bwaves", 0, 1),
             freq_mhz=campaign.freq_mhz, interventions=3,
-            raw_log="=== RUN ...\n", records=campaign.records,
+            raw_log=raw_log_of(reference, campaign), records=campaign.records,
         )
 
     def test_json_round_trip(self, reference):
@@ -236,7 +248,8 @@ class TestJournalIntegrity:
             handle.write(full_line[: len(full_line) // 2])  # crash mid-append
         store = CampaignStore.open(target)
         campaign = reference.results[("bwaves", 0)].campaigns[1]
-        store.append_campaign(campaign, "log\n", seed=1, interventions=0)
+        store.append_campaign(campaign, raw_log_of(reference, campaign),
+                              seed=1, interventions=0)
         lines = (target / JOURNAL_NAME).read_text().splitlines()
         assert len(lines) == 2
         for line in lines:  # the fragment is gone, every line parses
@@ -263,10 +276,71 @@ class TestJournalIntegrity:
         with pytest.raises(CampaignError, match="corrupt journal line 2"):
             CampaignStore.open(target)
 
+    @pytest.mark.parametrize("edit", ["foreign raw log", "freq_mhz"])
+    def test_raw_log_of_another_task_rejected_at_open(
+            self, full_store, tmp_path, edit):
+        """Records are derived from the raw log, so a line whose log
+        names a different (benchmark, core, campaign, freq) than the
+        line's own key must not open."""
+        target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+        lines = (target / JOURNAL_NAME).read_text().splitlines(keepends=True)
+        data = json.loads(lines[1])
+        if edit == "foreign raw log":
+            data["raw_log"] = json.loads(lines[0])["raw_log"]
+        else:
+            data["freq_mhz"] = 1200
+        lines[1] = json.dumps(data, sort_keys=True) + "\n"
+        (target / JOURNAL_NAME).write_text("".join(lines))
+        with pytest.raises(StoreError, match="journal line 2"):
+            CampaignStore.open(target)
+
+    def test_unparseable_raw_log_rejected_at_open(self, full_store, tmp_path):
+        target = truncated_copy(full_store[0], tmp_path, keep=TOTAL_TASKS)
+        lines = (target / JOURNAL_NAME).read_text().splitlines(keepends=True)
+        data = json.loads(lines[2])
+        data["raw_log"] = data["raw_log"].replace("status=", "stat=")
+        lines[2] = json.dumps(data, sort_keys=True) + "\n"
+        (target / JOURNAL_NAME).write_text("".join(lines))
+        with pytest.raises(StoreError, match="journal line 3.*status"):
+            CampaignStore.open(target)
+
+    def test_append_refuses_records_its_log_does_not_derive(
+            self, reference, tmp_path):
+        store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], CORES)
+        first, second = reference.results[("bwaves", 0)].campaigns
+        with pytest.raises(CampaignError, match="re-derive"):
+            store.append_campaign(first, raw_log_of(reference, second),
+                                  seed=1, interventions=0)
+        with pytest.raises(CampaignError, match="does not parse"):
+            store.append_campaign(first, "log\n", seed=1, interventions=0)
+        assert not store.completed_keys()
+        assert not (tmp_path / JOURNAL_NAME).exists()
+
+    def test_open_and_replay_bump_no_parse_metrics(self, full_store):
+        """Run and effect counters describe the parsing phase of
+        campaigns executed now, not every re-derivation of a stored
+        log."""
+        registry = MetricsRegistry()
+        with telemetry_session(metrics=registry):
+            store = CampaignStore.open(full_store[0])
+            report = run_grid(store=store, resume=True, jobs=1)
+        assert report.tasks_skipped == TOTAL_TASKS
+        assert registry.counter(M_PARSER_RUNS).value == 0
+        for effect in EffectType:
+            assert registry.counter(M_EFFECTS, effect=effect.value).value == 0
+
+        with telemetry_session(metrics=registry):
+            framework = CharacterizationFramework(
+                build_machine(SPEC), CFG, use_kernel=False)
+            campaign = framework.run_campaign(get_benchmark("bwaves"), 0)
+        assert registry.counter(M_PARSER_RUNS).value == len(campaign.records)
+
     def test_duplicate_append_rejected(self, reference, tmp_path):
         store = CampaignStore.create(tmp_path, SPEC, CFG, ["bwaves"], CORES)
         campaign = reference.results[("bwaves", 0)].campaigns[0]
-        store.append_campaign(campaign, "log\n", seed=1, interventions=0)
+        store.append_campaign(campaign, raw_log_of(reference, campaign),
+                              seed=1, interventions=0)
+        # The duplicate check runs before the raw log is even parsed.
         with pytest.raises(CampaignError, match="already journaled"):
             store.append_campaign(campaign, "log\n", seed=1, interventions=0)
 
