@@ -58,13 +58,19 @@ def test_profile_throughput(benchmark, running_machine):
     assert len(snapshot) == 101
 
 
-def _campaign_framework(use_kernel):
-    """A framework with its kernel cache (or scalar path) warmed."""
+def _campaign_framework(batch):
+    """A framework with its kernel cache (or scalar path) warmed.
+
+    The scalar reference declines the batch table on its machine (the
+    seam ``scalar_path`` in tests/conftest.py uses), so its campaigns
+    draw every run from ``machine.run_program``.
+    """
     machine = XGene2Machine("TTT", seed=55)
+    if not batch:
+        machine.compile_batch_table = lambda *args, **kwargs: None
     framework = CharacterizationFramework(
         machine,
         FrameworkConfig(start_mv=920, campaigns=1),
-        use_kernel=use_kernel,
     )
     framework.run_campaign(get_benchmark("mcf"), core=0)
     return framework
@@ -104,8 +110,8 @@ def test_campaign_throughput(benchmark):
     >=``MIN_KERNEL_SPEEDUP`` advantage over it.
     """
     bench = get_benchmark("mcf")
-    scalar = _campaign_framework(use_kernel=False)
-    batch = _campaign_framework(use_kernel=True)
+    scalar = _campaign_framework(batch=False)
+    batch = _campaign_framework(batch=True)
     gc.disable()
     try:
         result = benchmark.pedantic(

@@ -9,8 +9,15 @@ Three phases, as in the paper:
    every other PMD parked at 300 MHz (the "reliable cores setup"),
    runs it, *restores nominal voltage to store the log files safely*,
    and lets the watchdog recover the board whenever a run hangs it.
+   That per-run loop is :meth:`CampaignKernel.execute`
+   (:mod:`repro.core.kernel`), the only campaign loop; the framework
+   picks its outcome source per setup -- the machine's compiled
+   voltage table when it compiles, ``machine.run_program`` otherwise.
 3. **Parsing**: raw logs are parsed into classified runs, severity
-   tables and region decompositions, exported as CSV.
+   tables and region decompositions, exported as CSV.  The loop
+   classifies each run as it logs it, through the same rules the
+   parser applies, so a campaign's records are exactly what its raw
+   log parses to.
 
 The framework is deliberately restricted to the surfaces a real
 harness has: SLIMpro calls, program launches, the serial console and
@@ -21,11 +28,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..effects import EffectType
-from ..errors import CampaignError, ConfigurationError
+from ..errors import ConfigurationError
 from ..units import (
     FREQ_MAX_MHZ,
     PMD_NOMINAL_MV,
@@ -33,12 +40,11 @@ from ..units import (
     voltage_sweep,
 )
 from ..workloads.benchmark import Benchmark, Program
-from ..hardware import MachineState
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .kernel import CampaignKernel
-from .parser import format_run_block, parse_log, parse_records
-from .watchdog import WatchdogAction, WatchdogMonitor
+from .parser import parse_log
+from .watchdog import WatchdogMonitor
 
 
 @dataclass(frozen=True)
@@ -79,18 +85,13 @@ class CharacterizationFramework:
         machine: Machine,
         config: FrameworkConfig = FrameworkConfig(),
         watchdog: Optional[WatchdogMonitor] = None,
-        use_kernel: bool = True,
     ) -> None:
         self.machine = machine
         self.config = config
         self.watchdog = watchdog or WatchdogMonitor(machine)
-        #: Prefer the vectorized batch kernel (:mod:`repro.core.kernel`)
-        #: when the machine's components are table-compilable; the
-        #: scalar path remains the fallback (and the reference
-        #: semantics) either way.
-        self.use_kernel = bool(use_kernel)
-        #: Which path the most recent :meth:`run_campaign` took:
-        #: ``"batch"``, ``"scalar"``, or None before any campaign.
+        #: Which outcome source the most recent :meth:`run_campaign`
+        #: took: ``"batch"`` (compiled voltage table), ``"scalar"``
+        #: (``machine.run_program``), or None before any campaign.
         self.last_campaign_path: Optional[str] = None
         #: Raw log text of every campaign, keyed by
         #: (benchmark, core, freq, campaign_index).
@@ -107,25 +108,12 @@ class CharacterizationFramework:
         self.last_engine_report = None
         #: Batch kernels compiled this characterization, keyed by
         #: (benchmark, core, freq) -> (surface token, kernel); see
-        #: :meth:`_compile_kernel`.
+        #: :meth:`_kernel_for`.
         self._kernel_cache: Dict[
             Tuple[str, int, int], Tuple[str, CampaignKernel]
         ] = {}
 
     # -- phase 2: execution -----------------------------------------------
-
-    def _prepare_machine(self, core: int, freq_mhz: int, voltage_mv: int) -> None:
-        """Reliable-cores setup + V/F programming for one run."""
-        if self.machine.state is not MachineState.RUNNING:
-            self.watchdog.ensure_alive()
-        self.machine.clocks.set_pmd_frequency_mhz(core // 2, freq_mhz)
-        self.machine.clocks.park_all_except([core])
-        self.machine.slimpro.set_pmd_voltage_mv(voltage_mv)
-
-    def _restore_safe_state(self) -> None:
-        """Back to nominal before logs are persisted (Section 2.2.1)."""
-        if self.machine.state is MachineState.RUNNING:
-            self.machine.slimpro.restore_nominal_voltages()
 
     def run_campaign(
         self,
@@ -135,15 +123,17 @@ class CharacterizationFramework:
     ) -> CampaignResult:
         """Execute one campaign: the full voltage schedule once.
 
-        Returns the parsed :class:`CampaignResult`; the raw log text is
-        kept in :attr:`raw_logs`.
+        Returns the :class:`CampaignResult`; the raw log text is kept in
+        :attr:`raw_logs`.
 
-        When the machine's components are table-compilable (and
-        :attr:`use_kernel` is set) the campaign executes on the batch
-        kernel (:mod:`repro.core.kernel`) -- bit-identical records and
-        raw logs, an order of magnitude faster; otherwise it falls back
-        to the scalar loop below.  :attr:`last_campaign_path` and the
-        ``repro_kernel_campaigns_total`` counter record which path ran.
+        Every campaign runs through :meth:`CampaignKernel.execute`.  When
+        the machine's components are table-compilable its runs are
+        sampled from the compiled voltage table, an order of magnitude
+        faster; otherwise they come from ``machine.run_program`` -- the
+        records and raw logs are bit-identical either way.
+        :attr:`last_campaign_path` and the
+        ``repro_kernel_campaigns_total`` counter record which outcome
+        source ran.
         """
         program = self._as_program(workload)
         cfg = self.config
@@ -151,8 +141,6 @@ class CharacterizationFramework:
         floor = cfg.stop_mv if cfg.stop_mv is not None else 700
         schedule = voltage_sweep(start, floor)
 
-        log_parts: List[str] = []
-        consecutive_crash_levels = 0
         with telemetry.span(
             "campaign",
             benchmark=program.name,
@@ -160,70 +148,40 @@ class CharacterizationFramework:
             campaign=campaign_index,
             freq_mhz=cfg.freq_mhz,
         ):
-            kernel = self._compile_kernel(program, core) if self.use_kernel else None
-            self.last_campaign_path = "batch" if kernel is not None else "scalar"
+            kernel = self._kernel_for(program, core)
+            self.last_campaign_path = (
+                "batch" if kernel.table is not None else "scalar"
+            )
             telemetry.inc_counter(
                 telemetry.M_KERNEL_CAMPAIGNS, path=self.last_campaign_path
             )
-            if kernel is not None:
-                log_text, result = kernel.execute(schedule, campaign_index)
-                key = (program.name, core, cfg.freq_mhz, campaign_index)
-                self.raw_logs[key] = log_text
-                with telemetry.span("parse", campaign=campaign_index):
-                    # The kernel already built the records; keep the
-                    # parse-phase counter totals identical to the
-                    # scalar path (one aggregated increment per effect
-                    # class instead of one call per occurrence).
-                    effect_totals: Dict[str, int] = {}
-                    for record in result.records:
-                        for effect in record.effects:
-                            value = effect.value
-                            effect_totals[value] = (
-                                effect_totals.get(value, 0) + 1
-                            )
-                    for value, amount in effect_totals.items():
-                        telemetry.inc_counter(
-                            telemetry.M_EFFECTS, effect=value, amount=amount
-                        )
-                    telemetry.inc_counter(
-                        telemetry.M_PARSER_RUNS, amount=len(result.records)
-                    )
-                self._record_parsed_stats(key, log_text, result.records)
-                return result
-            for voltage_mv in schedule:
-                level_all_crashed = True
-                with telemetry.span(
-                    "voltage_step", voltage_mv=voltage_mv, runs=cfg.runs_per_level
-                ):
-                    for run_index in range(1, cfg.runs_per_level + 1):
-                        block = self._execute_one(
-                            program, core, voltage_mv, campaign_index, run_index
-                        )
-                        log_parts.append(block)
-                        if "status=system_crash" not in block:
-                            level_all_crashed = False
-                if level_all_crashed:
-                    consecutive_crash_levels += 1
-                    if (cfg.stop_mv is None
-                            and consecutive_crash_levels >= cfg.stop_after_crash_levels):
-                        break
-                else:
-                    consecutive_crash_levels = 0
-
-            log_text = "".join(log_parts)
+            log_text, result = kernel.execute(schedule, campaign_index)
             key = (program.name, core, cfg.freq_mhz, campaign_index)
             self.raw_logs[key] = log_text
             with telemetry.span("parse", campaign=campaign_index):
-                result = self._parse_campaign(log_text, campaign_index)
+                # The kernel already built the records; one aggregated
+                # increment per effect class.
+                effect_totals: Dict[str, int] = {}
+                for record in result.records:
+                    for effect in record.effects:
+                        value = effect.value
+                        effect_totals[value] = effect_totals.get(value, 0) + 1
+                for value, amount in effect_totals.items():
+                    telemetry.inc_counter(
+                        telemetry.M_EFFECTS, effect=value, amount=amount
+                    )
+                telemetry.inc_counter(
+                    telemetry.M_PARSER_RUNS, amount=len(result.records)
+                )
             self._record_parsed_stats(key, log_text, result.records)
         return result
 
-    def _compile_kernel(
-        self, program: Program, core: int
-    ) -> Optional[CampaignKernel]:
-        """Try to compile the machine's fault surface for the batch
-        kernel; ``None`` when the machine has no ``compile_batch_table``
-        hook or a component of it requires the scalar path.
+    def _kernel_for(self, program: Program, core: int) -> CampaignKernel:
+        """The campaign kernel of one setup, with its outcome source.
+
+        Backed by the machine's compiled fault surface when it has a
+        ``compile_batch_table`` hook and the hook returns a table, else
+        by ``machine.run_program``.
 
         Compiled kernels are cached across the campaigns of one
         characterization, keyed by setup coordinates and invalidated by
@@ -233,90 +191,23 @@ class CharacterizationFramework:
         falls back -- exactly as a fresh compile would.
         """
         compile_table = getattr(self.machine, "compile_batch_table", None)
-        if compile_table is None:
-            return None
         token_of = getattr(self.machine, "batch_surface_token", None)
         key = (program.name, core, self.config.freq_mhz)
-        if token_of is not None:
-            cached = self._kernel_cache.get(key)
-            if cached is not None and cached[0] == token_of():
-                return cached[1]
-        table = compile_table(program, core, self.config.freq_mhz)
+        table = None
+        if compile_table is not None:
+            if token_of is not None:
+                cached = self._kernel_cache.get(key)
+                if cached is not None and cached[0] == token_of():
+                    return cached[1]
+            table = compile_table(program, core, self.config.freq_mhz)
+        kernel = CampaignKernel(
+            self.machine, program, core, self.config, self.watchdog, table
+        )
         if table is None:
             self._kernel_cache.pop(key, None)
-            return None
-        kernel = CampaignKernel(
-            machine=self.machine,
-            table=table,
-            config=self.config,
-            watchdog=self.watchdog,
-            prepare=self._prepare_machine,
-            restore=self._restore_safe_state,
-        )
-        if token_of is not None:
+        elif token_of is not None:
             self._kernel_cache[key] = (token_of(), kernel)
         return kernel
-
-    def _execute_one(
-        self,
-        program: Program,
-        core: int,
-        voltage_mv: int,
-        campaign_index: int,
-        run_index: int,
-    ) -> str:
-        """One characterization run -> its raw log block."""
-        cfg = self.config
-        self._prepare_machine(core, cfg.freq_mhz, voltage_mv)
-        outcome = self.machine.run_program(
-            program, core, timeout_s=cfg.run_timeout_s
-        )
-        responsive = self.machine.is_responsive()
-        action = WatchdogAction.NONE
-        if not responsive:
-            action = self.watchdog.ensure_alive()
-        self._restore_safe_state()
-        locations = {
-            key: count for key, count in outcome.detail.items()
-            if key.startswith(("ce_", "ue_"))
-        }
-        return format_run_block(
-            chip=self.machine.chip.name,
-            benchmark=program.name,
-            core=core,
-            voltage_mv=voltage_mv,
-            freq_mhz=cfg.freq_mhz,
-            campaign_index=campaign_index,
-            run_index=run_index,
-            exit_code=outcome.exit_code,
-            output=outcome.output,
-            expected_output=outcome.expected_output,
-            edac_ce=outcome.edac_ce,
-            edac_ue=outcome.edac_ue,
-            responsive=responsive,
-            watchdog_action=action.value,
-            edac_locations=locations,
-        )
-
-    # -- phase 3: parsing ----------------------------------------------------
-
-    def _parse_campaign(self, log_text: str, campaign_index: int) -> CampaignResult:
-        records = parse_records(log_text)
-        if not records:
-            raise CampaignError("campaign produced no runs")
-        for record in records:
-            for effect in record.effects:
-                telemetry.inc_counter(telemetry.M_EFFECTS, effect=effect.value)
-        telemetry.inc_counter(telemetry.M_PARSER_RUNS, amount=len(records))
-        first = records[0]
-        return CampaignResult(
-            chip=first.chip,
-            benchmark=first.benchmark,
-            core=first.setup.core,
-            freq_mhz=first.setup.freq_mhz,
-            campaign_index=campaign_index,
-            records=records,
-        )
 
     # -- orchestration ---------------------------------------------------------
 
@@ -371,7 +262,6 @@ class CharacterizationFramework:
             backend=backend,
             chunk_size=chunk_size,
             progress=progress if progress is not None else NULL_PROGRESS,
-            use_kernel=self.use_kernel,
         )
         report = engine.run(workloads, cores, store=store, resume=resume)
         self.raw_logs.update(report.raw_logs)

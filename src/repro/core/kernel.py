@@ -1,27 +1,30 @@
-"""Vectorized batch-evaluation kernel for voltage-sweep campaigns.
+"""The campaign loop and its vectorized batch-evaluation source.
 
-The scalar path (:meth:`CharacterizationFramework.run_campaign` ->
-:meth:`XGene2Machine.run_program` -> :meth:`EffectSampler.sample`)
-rebuilds the per-unit failure models and re-walks every probability
-curve once per run.  For a campaign that is pure overhead: within one
-campaign the curves are fixed functions of voltage, and the voltage
-schedule is known up front.
+:class:`CampaignKernel` is the one campaign loop (Figure 2's execution
+phase): every campaign, whatever the machine, runs through
+:meth:`CampaignKernel.execute`.  Only the source of each run's outcome
+varies.  The scalar source calls :meth:`XGene2Machine.run_program`
+(-> :meth:`EffectSampler.sample`), which rebuilds the per-unit failure
+models and re-walks every probability curve once per run.  For a
+campaign that is pure overhead: within one campaign the curves are
+fixed functions of voltage, and the voltage schedule is known up
+front.
 
 This module compiles that fault surface **once per campaign** into a
 :class:`VoltageTable` -- per-voltage arrays of every quantity the
 scalar path evaluates (clock/uncore SC probability, the SRAM Poisson
 event rates of every cache level, SDC and timing-crash probabilities,
 the SDC->CE conversion of the protection-coverage ablation), indexed by
-``(nominal_mv - vdd_mv) // step_mv`` -- and then replays the campaign
-loop against O(1) table lookups.
+``(nominal_mv - vdd_mv) // step_mv`` -- and then feeds the campaign
+loop from O(1) table lookups instead of ``run_program``.
 
 Bit-identical randomness
 ------------------------
 
-The contract is that the batch path produces **bit-identical**
-:class:`~repro.core.runs.RunRecord` streams (and raw log bytes) to the
-scalar path.  Every run draws from the same per-run ``Generator`` the
-machine would have built (same SHA-256 digest of
+The contract is that the batch source yields **bit-identical** run
+outcomes -- hence :class:`~repro.core.runs.RunRecord` streams and raw
+log bytes -- to the scalar source.  Every run draws from the same
+per-run ``Generator`` the machine would have built (same SHA-256 digest of
 ``seed|chip|program|core|voltage|freq|run_counter``, same PCG64
 stream), reproduced without per-run ``default_rng`` construction by
 :class:`RunGeneratorFactory`, which vectorizes numpy's ``SeedSequence``
@@ -50,11 +53,11 @@ generator state is reset to the run's start and the campaign-persistent
 construction, and rare by design (non-zero counts cluster in the crash
 region where SC dominates).
 
-The kernel is engaged by :class:`CharacterizationFramework` via the
-machine's ``compile_batch_table`` hook and falls back to the scalar
-path whenever the machine declines to compile (scripted injections
+:class:`CharacterizationFramework` builds each setup's kernel through
+the machine's ``compile_batch_table`` hook and falls back to the scalar
+source whenever the machine declines to compile (scripted injections
 pending, unknown extension components, an undervolted SoC domain --
-see :meth:`XGene2Machine.compile_batch_table`).
+see :meth:`XGene2Machine.compile_batch_table`) or has no such hook.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ from .. import telemetry
 from ..effects import EffectType, normalize_effects
 from ..errors import CampaignError
 from ..units import CHARACTERIZATION_TEMP_C, PMD_NOMINAL_MV, VOLTAGE_FLOOR_MV, VOLTAGE_STEP_MV
+from ..hardware import MachineState
 from .campaign import CampaignResult
 from .effects import classify_run
+from .parser import render_run_block, run_block_head
 from .runs import CharacterizationSetup, RunRecord
 from .watchdog import WatchdogAction
 
@@ -424,7 +429,7 @@ class RunGeneratorFactory:
 
 
 class _StepPlan:
-    """Everything :meth:`VoltageTable.sample_run` needs at one voltage."""
+    """Everything :meth:`VoltageTable.sample_u` needs at one voltage."""
 
     __slots__ = (
         "voltage_mv",
@@ -456,7 +461,6 @@ class VoltageTable:
         "program",
         "core",
         "freq_mhz",
-        "chip_name",
         "nominal_mv",
         "step_mv",
         "voltages",
@@ -473,7 +477,6 @@ class VoltageTable:
         program: object,
         core: int,
         freq_mhz: int,
-        chip_name: str,
         nominal_mv: int,
         step_mv: int,
         voltages: Tuple[int, ...],
@@ -485,7 +488,6 @@ class VoltageTable:
         self.program = program
         self.core = core
         self.freq_mhz = freq_mhz
-        self.chip_name = chip_name
         self.nominal_mv = nominal_mv
         self.step_mv = step_mv
         self.voltages = voltages
@@ -535,28 +537,6 @@ class VoltageTable:
         return power
 
     # -- sampling ---------------------------------------------------------
-
-    def sample_run(
-        self,
-        vidx: int,
-        rng: np.random.Generator,
-        reset: Callable[[], object],
-    ) -> Tuple[FrozenSet[EffectType], Dict[str, int]]:
-        """One run's (effects, detail), bit-identical to the scalar path.
-
-        Draws one uniform block covering every scalar draw position;
-        falls back to a full scalar ``sampler.sample`` replay (against
-        the generator ``reset()`` returns, positioned at the run's
-        stream start) when a Poisson channel reports a non-zero event
-        count.
-        """
-        plan = self._plans[vidx]
-        if plan is None:
-            plan = self.plan(vidx)
-        # One stream read, then plain-float comparisons: a python float
-        # list beats numpy scalar indexing by ~3x at these sizes.
-        u = rng.random(plan.n_uniform).tolist()
-        return self.sample_u(plan, u, reset)
 
     def sample_u(
         self,
@@ -711,7 +691,6 @@ def compile_voltage_table(
     program: object,
     core: int,
     freq_mhz: int,
-    chip_name: str,
     expected_output: str,
     rollback_coverage: Optional[float] = None,
     nominal_mv: int = PMD_NOMINAL_MV,
@@ -734,7 +713,6 @@ def compile_voltage_table(
         program=program,
         core=core,
         freq_mhz=freq_mhz,
-        chip_name=chip_name,
         nominal_mv=nominal_mv,
         step_mv=step_mv,
         voltages=voltages,
@@ -755,6 +733,15 @@ def compile_voltage_table(
 #: default sweep crosses the ~40-60 mV margin region in 10-13 levels
 #: before the two all-crash stop levels).
 _CHUNK_LEVELS = 12
+
+#: One run's outcome, as the campaign loop logs and classifies it:
+#: ``(exit_code, output, expected_output, edac_ce, edac_ue,
+#: locations)``; ``exit_code=None`` is a system crash.
+_Outcome = Tuple[Optional[int], Optional[str], str, int, int, Dict[str, int]]
+#: An outcome source: ``(level_index, voltage_mv)`` -> that level's
+#: per-run callable, which executes run ``run_index`` on the prepared
+#: machine.
+_Source = Callable[[int, int], Callable[[int], _Outcome]]
 
 
 class _ScheduleStates:
@@ -786,11 +773,6 @@ class _ScheduleStates:
         self._chunk_limbs: List[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
-
-    def level(self, level_index: int) -> List[Tuple[int, int]]:
-        """The (state, inc) pairs of one level's runs, in run order."""
-        start = level_index * self._runs
-        return [self.state_at(start + i) for i in range(self._runs)]
 
     def state_at(self, index: int) -> Tuple[int, int]:
         """The (state, inc) pair of one run by schedule position.
@@ -832,57 +814,76 @@ class _ScheduleStates:
 
 
 class CampaignKernel:
-    """Executes one campaign's schedule against a compiled table.
+    """The campaign loop: one setup's voltage schedule, run by run.
 
-    Reproduces :meth:`CharacterizationFramework.run_campaign` exactly:
-    the same machine preparation and safe-state restore per run, the
-    same watchdog recovery, the same ``voltage_step`` telemetry spans,
-    the same raw log text, the same crash-level stop rule -- but builds
-    the :class:`RunRecord` stream directly (through the same
-    :func:`classify_run` the parser applies) instead of re-parsing the
-    log it just formatted.
+    Owns every per-run step of Figure 2's execution phase: V/F
+    programming with the reliable-cores setup, the run itself, the
+    responsiveness probe and watchdog recovery, the restore to nominal
+    before the log is stored, the raw log block, the
+    :class:`RunRecord` (built through the same :func:`classify_run`
+    the parser applies, never by re-parsing the log), the
+    ``voltage_step`` telemetry spans and the crash-level stop rule.
+
+    Only the source of each run's outcome differs.  With a compiled
+    ``table`` it is the :class:`VoltageTable` (``sample_u`` plus the
+    machine's ``kernel_execute``); without one -- the machine declined
+    to compile, or has no ``compile_batch_table`` hook -- it is
+    ``machine.run_program``.  Both sources yield bit-identical
+    outcomes for the same machine state.
     """
 
     def __init__(
         self,
         machine: object,
-        table: VoltageTable,
+        program: object,
+        core: int,
         config: object,
         watchdog: object,
-        prepare: Callable[[int, int, int], None],
-        restore: Callable[[], None],
+        table: Optional[VoltageTable] = None,
     ) -> None:
         self.machine = machine
-        self.table = table
+        self.program = program
+        self.core = core
         self.config = config
         self.watchdog = watchdog
-        self._prepare = prepare
-        self._restore = restore
-        self._factory = RunGeneratorFactory()
+        self.table = table
+        self._factory = RunGeneratorFactory() if table is not None else None
+
+    def _prepare(self, voltage_mv: int) -> None:
+        """Reliable-cores setup + V/F programming for one run."""
+        machine = self.machine
+        if machine.state is not MachineState.RUNNING:
+            self.watchdog.ensure_alive()
+        machine.clocks.set_pmd_frequency_mhz(
+            self.core // 2, self.config.freq_mhz
+        )
+        machine.clocks.park_all_except([self.core])
+        machine.slimpro.set_pmd_voltage_mv(voltage_mv)
+
+    def _restore(self) -> None:
+        """Back to nominal before logs are persisted (Section 2.2.1)."""
+        if self.machine.state is MachineState.RUNNING:
+            self.machine.slimpro.restore_nominal_voltages()
 
     def execute(
         self, schedule: Sequence[int], campaign_index: int
     ) -> Tuple[str, CampaignResult]:
         """Run the schedule; returns ``(raw_log_text, CampaignResult)``."""
         cfg = self.config
-        machine = self.machine
-        table = self.table
-        factory = self._factory
-        benchmark = table.program.name
-        core = table.core
-        freq_mhz = table.freq_mhz
-        chip = table.chip_name
-        expected = table.expected_output
+        chip = self.machine.chip.name
+        benchmark = self.program.name
+        core = self.core
+        freq_mhz = cfg.freq_mhz
         runs_per_level = cfg.runs_per_level
-        states = _ScheduleStates(
-            factory, machine, benchmark, core, freq_mhz, schedule, runs_per_level
+        outcomes = (
+            self._machine_outcomes()
+            if self.table is None
+            else self._table_outcomes(schedule)
         )
 
         prepare = self._prepare
         restore = self._restore
-        activate = factory.activate
-        kernel_execute = machine.kernel_execute
-        is_responsive = machine.is_responsive
+        is_responsive = self.machine.is_responsive
         ensure_alive = self.watchdog.ensure_alive
         no_action = WatchdogAction.NONE
         new_record = RunRecord.__new__
@@ -892,106 +893,38 @@ class CampaignKernel:
         records: List[RunRecord] = []
         record_append = records.append
         consecutive_crash_levels = 0
-        sample_u = table.sample_u
-        run_global = 0
-        # Reads ``run_global`` at call time, so one closure serves
-        # every run; only the scalar-replay path ever invokes it.
-        fresh_rng = lambda: activate(states.state_at(run_global))  # noqa: E731
-        chunk_index = -1
-        chunk_u: List[List[float]] = []
         for level_index, voltage_mv in enumerate(schedule):
-            vidx = table.index_of(voltage_mv)
-            plan = table.plan(vidx)
-            ci = level_index // _CHUNK_LEVELS
-            if ci != chunk_index:
-                # One vectorized PCG64 pass yields the whole chunk's
-                # uniform blocks, over-drawn to the widest plan in the
-                # chunk (sample_u ignores the excess columns).
-                chunk_index = ci
-                hi = min((ci + 1) * _CHUNK_LEVELS, len(schedule))
-                width = 1
-                for lvl in range(ci * _CHUNK_LEVELS, hi):
-                    lvl_plan = table.plan(table.index_of(schedule[lvl]))
-                    if lvl_plan.n_uniform > width:
-                        width = lvl_plan.n_uniform
-                chunk_u = factory.uniform_block(
-                    states.chunk_limbs(ci), width
-                ).tolist()
-            u_base = (level_index % _CHUNK_LEVELS) * runs_per_level - 1
+            run = outcomes(level_index, voltage_mv)
             setup = CharacterizationSetup(
                 voltage_mv=voltage_mv, freq_mhz=freq_mhz, core=core
             )
-            # Every block of this level shares its header up to the run
-            # index; the bodies below must stay byte-for-byte in
-            # lockstep with :func:`format_run_block` (parity is pinned
-            # by the property tests in tests/test_kernel.py).
-            head = (
-                f"=== RUN chip={chip} benchmark={benchmark} core={core} "
-                f"voltage_mv={voltage_mv} freq_mhz={freq_mhz} "
-                f"campaign={campaign_index} run="
+            head = run_block_head(
+                chip, benchmark, core, voltage_mv, freq_mhz, campaign_index
             )
             level_all_crashed = True
             with telemetry.span(
                 "voltage_step", voltage_mv=voltage_mv, runs=runs_per_level
             ):
-                run_global = level_index * runs_per_level - 1
                 for run_index in range(1, runs_per_level + 1):
-                    prepare(core, freq_mhz, voltage_mv)
-                    run_global += 1
-                    effects, detail = sample_u(
-                        plan, chunk_u[u_base + run_index], fresh_rng
-                    )
-                    (
-                        effects,
-                        exit_code,
-                        output,
-                        edac_ce,
-                        edac_ue,
-                        locations,
-                    ) = kernel_execute(table, vidx, effects, detail)
+                    prepare(voltage_mv)
+                    (exit_code, output, expected, edac_ce, edac_ue,
+                     locations) = run(run_index)
                     responsive = is_responsive()
                     action = no_action if responsive else ensure_alive()
                     restore()
-                    if exit_code is None:
+                    if exit_code is None or not responsive:
                         # System crash: the in-band lines were never
-                        # flushed; only header + post-recovery lines.
-                        log_append(
-                            f"{head}{run_index} ===\n"
-                            f"status=system_crash\n"
-                            f"watchdog={action.value}\n"
-                        )
+                        # flushed, so nothing but the crash survives.
+                        responsive = False
+                        exit_code = output = None
+                        edac_ce = edac_ue = 0
+                        locations = {}
                     else:
                         level_all_crashed = False
-                        status = (
-                            "completed" if exit_code == 0 else "app_crash"
-                        )
-                        if locations:
-                            encoded = ",".join(
-                                f"{key}:{count}"
-                                for key, count in sorted(locations.items())
-                            )
-                            loc_line = f"edac_locations={encoded}\n"
-                        else:
-                            loc_line = ""
-                        if output is None:
-                            log_append(
-                                f"{head}{run_index} ===\n"
-                                f"exit_code={exit_code}\n"
-                                f"edac_ce={edac_ce} edac_ue={edac_ue}\n"
-                                f"{loc_line}"
-                                f"status={status}\n"
-                                f"watchdog={action.value}\n"
-                            )
-                        else:
-                            log_append(
-                                f"{head}{run_index} ===\n"
-                                f"exit_code={exit_code}\n"
-                                f"output={output} expected={expected}\n"
-                                f"edac_ce={edac_ce} edac_ue={edac_ue}\n"
-                                f"{loc_line}"
-                                f"status={status}\n"
-                                f"watchdog={action.value}\n"
-                            )
+                    log_append(render_run_block(
+                        head, run_index, exit_code, output, expected,
+                        edac_ce, edac_ue, locations, action.value,
+                    ))
                     # Classification goes through the same classify_run
                     # the log parser applies, fed the parser-visible
                     # observables (an unflushed output line parses as
@@ -1056,3 +989,87 @@ class CampaignKernel:
             records=tuple(records),
         )
         return "".join(log_parts), result
+
+    # -- outcome sources ------------------------------------------------------
+
+    def _machine_outcomes(self) -> _Source:
+        """The scalar source: every run through ``machine.run_program``."""
+        run_program = self.machine.run_program
+        program = self.program
+        core = self.core
+        timeout_s = self.config.run_timeout_s
+
+        def run(run_index: int) -> _Outcome:
+            outcome = run_program(program, core, timeout_s=timeout_s)
+            locations = {
+                key: count for key, count in outcome.detail.items()
+                if key.startswith(("ce_", "ue_"))
+            }
+            return (
+                outcome.exit_code,
+                outcome.output,
+                outcome.expected_output,
+                outcome.edac_ce,
+                outcome.edac_ue,
+                locations,
+            )
+
+        return lambda level_index, voltage_mv: run
+
+    def _table_outcomes(self, schedule: Sequence[int]) -> _Source:
+        """The batch source: table lookups on pre-derived uniform blocks."""
+        table = self.table
+        factory = self._factory
+        runs_per_level = self.config.runs_per_level
+        states = _ScheduleStates(
+            factory, self.machine, self.program.name, self.core,
+            self.config.freq_mhz, schedule, runs_per_level,
+        )
+        activate = factory.activate
+        sample_u = table.sample_u
+        kernel_execute = self.machine.kernel_execute
+        expected = table.expected_output
+        chunk_index = -1
+        chunk_u: List[List[float]] = []
+
+        def level(
+            level_index: int, voltage_mv: int
+        ) -> Callable[[int], _Outcome]:
+            nonlocal chunk_index, chunk_u
+            vidx = table.index_of(voltage_mv)
+            plan = table.plan(vidx)
+            ci = level_index // _CHUNK_LEVELS
+            if ci != chunk_index:
+                # One vectorized PCG64 pass yields the whole chunk's
+                # uniform blocks, over-drawn to the widest plan in the
+                # chunk (sample_u ignores the excess columns).
+                hi = min((ci + 1) * _CHUNK_LEVELS, len(schedule))
+                width = 1
+                for lvl in range(ci * _CHUNK_LEVELS, hi):
+                    lvl_plan = table.plan(table.index_of(schedule[lvl]))
+                    if lvl_plan.n_uniform > width:
+                        width = lvl_plan.n_uniform
+                chunk_index = ci
+                chunk_u = factory.uniform_block(
+                    states.chunk_limbs(ci), width
+                ).tolist()
+            u = chunk_u
+            u_base = (level_index % _CHUNK_LEVELS) * runs_per_level - 1
+            run_base = level_index * runs_per_level - 1
+
+            def run(run_index: int) -> _Outcome:
+                # The generator is only ever built on the scalar-replay
+                # path, positioned at this run's stream start.
+                effects, detail = sample_u(
+                    plan,
+                    u[u_base + run_index],
+                    lambda: activate(states.state_at(run_base + run_index)),
+                )
+                _, exit_code, output, edac_ce, edac_ue, locations = (
+                    kernel_execute(table, vidx, effects, detail)
+                )
+                return exit_code, output, expected, edac_ce, edac_ue, locations
+
+            return run
+
+        return level

@@ -90,27 +90,85 @@ def format_run_block(
     (exit code, output, EDAC) were never flushed; only the header and
     the post-recovery status/watchdog lines exist.
     """
-    lines = [
-        f"=== RUN chip={chip} benchmark={benchmark} core={core} "
+    return render_run_block(
+        run_block_head(
+            chip, benchmark, core, voltage_mv, freq_mhz, campaign_index
+        ),
+        run_index,
+        exit_code if responsive else None,
+        output,
+        expected_output,
+        edac_ce,
+        edac_ue,
+        edac_locations,
+        watchdog_action,
+    )
+
+
+def run_block_head(
+    chip: str,
+    benchmark: str,
+    core: int,
+    voltage_mv: int,
+    freq_mhz: int,
+    campaign_index: int,
+) -> str:
+    """A block's header line up to (not including) its run index.
+
+    Every run of one voltage level shares it, so the campaign loop
+    builds it once per level.
+    """
+    return (
+        f"{RUN_HEADER} chip={chip} benchmark={benchmark} core={core} "
         f"voltage_mv={voltage_mv} freq_mhz={freq_mhz} "
-        f"campaign={campaign_index} run={run_index} ==="
-    ]
-    if responsive and exit_code is not None:
-        lines.append(f"exit_code={exit_code}")
-        if output is not None:
-            lines.append(f"output={output} expected={expected_output}")
-        lines.append(f"edac_ce={edac_ce} edac_ue={edac_ue}")
-        if edac_locations:
-            encoded = ",".join(
-                f"{key}:{count}" for key, count in sorted(edac_locations.items())
-            )
-            lines.append(f"edac_locations={encoded}")
-        status = "completed" if exit_code == 0 else "app_crash"
+        f"campaign={campaign_index} run="
+    )
+
+
+def render_run_block(
+    head: str,
+    run_index: int,
+    exit_code: Optional[int],
+    output: Optional[str],
+    expected_output: str,
+    edac_ce: int,
+    edac_ue: int,
+    edac_locations: Optional[Mapping[str, int]],
+    watchdog_action: str,
+) -> str:
+    """The one block layout: ``head`` (see :func:`run_block_head`) plus
+    the run index, then the body.
+
+    ``exit_code=None`` is a system crash: only the post-recovery
+    status/watchdog lines follow the header.
+    """
+    if exit_code is None:
+        return (
+            f"{head}{run_index} ===\n"
+            f"status=system_crash\n"
+            f"watchdog={watchdog_action}\n"
+        )
+    if edac_locations:
+        encoded = ",".join(
+            f"{key}:{count}" for key, count in sorted(edac_locations.items())
+        )
+        loc_line = f"edac_locations={encoded}\n"
     else:
-        status = "system_crash"
-    lines.append(f"status={status}")
-    lines.append(f"watchdog={watchdog_action}")
-    return "\n".join(lines) + "\n"
+        loc_line = ""
+    if output is None:
+        out_line = ""
+    else:
+        out_line = f"output={output} expected={expected_output}\n"
+    status = "completed" if exit_code == 0 else "app_crash"
+    return (
+        f"{head}{run_index} ===\n"
+        f"exit_code={exit_code}\n"
+        f"{out_line}"
+        f"edac_ce={edac_ce} edac_ue={edac_ue}\n"
+        f"{loc_line}"
+        f"status={status}\n"
+        f"watchdog={watchdog_action}\n"
+    )
 
 
 #: What a header fixes short of the run index:

@@ -373,7 +373,6 @@ class XGene2Machine:
             program,
             core=core,
             freq_mhz=freq_mhz,
-            chip_name=self.chip.name,
             expected_output=reference_output(program),
             rollback_coverage=(
                 self.rollback_unit.detection_coverage

@@ -103,10 +103,6 @@ class ParallelCampaignEngine:
         IPC round-trip per campaign.
     progress:
         Optional :class:`ProgressReporter`; the default is a no-op.
-    use_kernel:
-        Let workers use the batch kernel (:mod:`repro.core.kernel`)
-        when their machine compiles; results are bit-identical either
-        way, so this is a performance switch, not a semantic one.
     """
 
     #: Grids smaller than this never spin up a pool under ``auto``.
@@ -120,7 +116,6 @@ class ParallelCampaignEngine:
         backend: str = "auto",
         chunk_size: Optional[int] = None,
         progress: ProgressReporter = NULL_PROGRESS,
-        use_kernel: bool = True,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -136,7 +131,6 @@ class ParallelCampaignEngine:
         self.backend = backend
         self.chunk_size = chunk_size
         self.progress = progress
-        self.use_kernel = bool(use_kernel)
 
     # -- task grid --------------------------------------------------------
 
@@ -223,7 +217,7 @@ class ParallelCampaignEngine:
                 for chunk in chunks:
                     chunk_started = telemetry.clock()
                     chunk_outcomes = run_campaign_chunk(
-                        self.spec, self.config, chunk, collect, self.use_kernel
+                        self.spec, self.config, chunk, collect
                     )
                     telemetry.observe(
                         telemetry.M_CHUNK_SECONDS,
@@ -448,7 +442,6 @@ class ParallelCampaignEngine:
             pending: Dict[Future, Tuple[CampaignTask, ...]] = {
                 executor.submit(
                     run_campaign_chunk, self.spec, self.config, chunk, collect,
-                    self.use_kernel,
                 ): chunk
                 for chunk in chunks
             }
@@ -481,7 +474,6 @@ class ParallelCampaignEngine:
                         )
                         chunk_outcomes = run_campaign_chunk(
                             self.spec, self.config, chunk, collect,
-                            self.use_kernel,
                         )
                     # Submit-to-drain latency: includes queue wait, which
                     # is the number that matters for pool sizing.

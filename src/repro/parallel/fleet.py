@@ -48,7 +48,6 @@ def run_fleet(
     backend: str = "auto",
     chunk_size: Optional[int] = None,
     progress: ProgressReporter = NULL_PROGRESS,
-    use_kernel: bool = True,
     shards: Optional[Sequence[str]] = None,
 ) -> FleetRunReport:
     """Run (or resume) every shard of a fleet to completion.
@@ -84,7 +83,6 @@ def run_fleet(
             backend=backend,
             chunk_size=chunk_size,
             progress=progress,
-            use_kernel=use_kernel,
         )
         reports[entry.name] = engine.run(
             programs, manifest.cores, store=shard, resume=True

@@ -122,12 +122,11 @@ class CampaignTaskResult:
 
 def _execute_task(
     spec: MachineSpec, config: "FrameworkConfig", task: CampaignTask,  # noqa: F821
-    use_kernel: bool = True,
 ) -> CampaignTaskResult:
     from ..core.framework import CharacterizationFramework
 
     machine = spec.build(seed=task.seed)
-    framework = CharacterizationFramework(machine, config, use_kernel=use_kernel)
+    framework = CharacterizationFramework(machine, config)
     result = framework.run_campaign(
         task.program, task.core, campaign_index=task.campaign_index
     )
@@ -148,19 +147,18 @@ def run_campaign_task(
     config: "FrameworkConfig",  # noqa: F821
     task: CampaignTask,
     collect_spans: bool = False,
-    use_kernel: bool = True,
 ) -> CampaignTaskResult:
     """Execute one campaign on a freshly built machine (worker body)."""
     if not collect_spans:
         with shielded():
-            return _execute_task(spec, config, task, use_kernel)
+            return _execute_task(spec, config, task)
     spans: List[SpanRecord] = []
     tracer = Tracer(spans.append)
     with telemetry_session(tracer=tracer):
         with task_trace(
             task.program.name, task.core, task.campaign_index, seed=task.seed
         ):
-            result = _execute_task(spec, config, task, use_kernel)
+            result = _execute_task(spec, config, task)
     return dataclasses.replace(result, spans=tuple(spans))
 
 
@@ -169,10 +167,9 @@ def run_campaign_chunk(
     config: "FrameworkConfig",  # noqa: F821
     tasks: Tuple[CampaignTask, ...],
     collect_spans: bool = False,
-    use_kernel: bool = True,
 ) -> Tuple[CampaignTaskResult, ...]:
     """Worker entry point: execute a scheduling chunk of tasks."""
     return tuple(
-        run_campaign_task(spec, config, task, collect_spans, use_kernel)
+        run_campaign_task(spec, config, task, collect_spans)
         for task in tasks
     )

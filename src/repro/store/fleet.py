@@ -364,9 +364,11 @@ class FleetStore:
         return self.shard(self.manifest.entry_named(name))
 
     def shards(self) -> List[Tuple[ShardEntry, CampaignStore]]:
-        """Every (entry, open store) pair, in manifest order."""
+        """Every (entry, open store) pair, in manifest order, each store
+        caught up with its journal on disk (:meth:`refreshed_shard`)."""
         return [
-            (entry, self.shard(entry)) for entry in self.manifest.shards
+            (entry, self.refreshed_shard(entry))
+            for entry in self.manifest.shards
         ]
 
     # -- progress ----------------------------------------------------------

@@ -7,12 +7,33 @@ tests loses nothing and keeps the suite fast.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import CharacterizationFramework, FrameworkConfig
+# reprolint: disable=RPR003 -- compile_batch_table is the concrete machine's hook
+from repro.hardware import XGene2Machine
 from repro.machines import MachineSpec, build_machine
 from repro.workloads import get_benchmark
+
+
+@contextlib.contextmanager
+def scalar_path(machine=None):
+    """Campaigns run inside take the scalar outcome source.
+
+    ``compile_batch_table`` declines (returns None) on ``machine``
+    alone or, without one, on :class:`XGene2Machine` itself -- which
+    reaches every machine a ``jobs=1`` engine grid builds in process.
+    The campaign loop then draws each run from ``machine.run_program``,
+    the reference the batch source must match bit for bit.
+    """
+    target = XGene2Machine if machine is None else machine
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(target, "compile_batch_table",
+                      lambda *args, **kwargs: None)
+        yield
 
 
 @pytest.fixture()

@@ -660,6 +660,22 @@ class TestFleetDerived:
             assert (tmp_path / "held" / relative).read_bytes() == \
                 (tmp_path / "cold" / relative).read_bytes()
 
+    def test_held_fleet_report_sees_another_object(self, tmp_path):
+        """Fleet object A already holds its shard stores; after object B
+        appends campaigns, A's report must equal a cold open's."""
+        from repro.analysis.report import fleet_report
+
+        fleet_dir = tmp_path / "fleet"
+        make_fleet(fleet_dir)
+        held = FleetStore.open(fleet_dir)  # object A
+        held.shards()
+        first = held.manifest.shards[0]
+        run_fleet(FleetStore.open(fleet_dir), shards=[first.name])  # object B
+        held_text = fleet_report(held)
+        assert held_text == fleet_report(FleetStore.open(fleet_dir))
+        assert f"- progress: {SHARD_TASKS}/{SHARD_TASKS * len(SPECS)}" \
+            in held_text
+
     def test_held_fleet_pending_tasks_see_another_object(self, tmp_path):
         fleet_dir = tmp_path / "fleet"
         make_fleet(fleet_dir)

@@ -2,14 +2,18 @@
 
 The kernel's contract (``repro.core.kernel``) is that a campaign run
 through the compiled :class:`VoltageTable` produces **bit-identical**
-observables to the scalar path: the same :class:`RunRecord` stream, the
-same raw log bytes, the same machine state trajectory.  These tests pin
-that contract at every layer -- the vectorized ``default_rng`` replay,
-the per-run sampling, whole campaigns (property-swept over seeds,
-chips and schedules), and the per-extension fallback matrix of
-:meth:`XGene2Machine.compile_batch_table`.
+observables to the scalar outcome source (``machine.run_program``,
+selected through :func:`conftest.scalar_path`): the same
+:class:`RunRecord` stream, the same raw log bytes, the same machine
+state trajectory.  These tests pin that contract at every layer -- the
+vectorized ``default_rng`` replay, the per-run sampling, whole
+campaigns (property-swept over seeds, chips and schedules), the
+per-extension fallback matrix of
+:meth:`XGene2Machine.compile_batch_table` and the framework's kernel
+cache.
 """
 
+import contextlib
 import hashlib
 import zlib
 
@@ -35,6 +39,8 @@ from repro.hardware.dynamics import (
 from repro.units import VOLTAGE_STEP_MV
 from repro.workloads import get_benchmark
 
+from .conftest import scalar_path
+
 
 def _scalar_reference_rng(key: bytes) -> np.random.Generator:
     """The exact generator :meth:`XGene2Machine._run_rng` builds."""
@@ -51,9 +57,10 @@ def _assert_records_derive(framework, campaign):
     assert parse_records(framework.raw_logs[key]) == campaign.records
 
 
-def _campaign_observables(machine, config, use_kernel, bench="mcf", core=0):
-    framework = CharacterizationFramework(machine, config, use_kernel=use_kernel)
-    result = framework.characterize(get_benchmark(bench), core=core)
+def _campaign_observables(machine, config, batch, bench="mcf", core=0):
+    framework = CharacterizationFramework(machine, config)
+    with contextlib.nullcontext() if batch else scalar_path(machine):
+        result = framework.characterize(get_benchmark(bench), core=core)
     for campaign in result.campaigns:
         _assert_records_derive(framework, campaign)
     records = tuple(
@@ -145,15 +152,15 @@ class TestCampaignBitIdentity:
             start_mv=start_mv, campaigns=1, runs_per_level=runs_per_level
         )
         results = {}
-        for use_kernel in (False, True):
+        for batch in (False, True):
             machine = _machine(chip=chip, seed=seed)
             framework, records, logs, state = _campaign_observables(
-                machine, config, use_kernel
+                machine, config, batch
             )
             assert framework.last_campaign_path == (
-                "batch" if use_kernel else "scalar"
+                "batch" if batch else "scalar"
             )
-            results[use_kernel] = (records, logs, state)
+            results[batch] = (records, logs, state)
         assert results[False] == results[True]
 
     def test_multi_campaign_characterization_identical(self):
@@ -166,10 +173,9 @@ class TestCampaignBitIdentity:
         assert reference[1:] == kernel[1:]
 
     def test_raw_log_formatting_parity(self):
-        # The kernel formats log blocks inline instead of calling
-        # format_run_block; a sweep through the crash region exercises
-        # all three block shapes (completed, app-crash, system-crash)
-        # and the parser must see identical bytes from both paths.
+        # A sweep through the crash region exercises all three block
+        # shapes (completed, app-crash, system-crash); the parser must
+        # see identical bytes from both outcome sources.
         config = FrameworkConfig(start_mv=900, campaigns=1, runs_per_level=8)
         _, _, scalar_logs, _ = _campaign_observables(_machine(), config, False)
         _, _, batch_logs, _ = _campaign_observables(_machine(), config, True)
@@ -202,13 +208,13 @@ class TestKernelFallbackMatrix:
     def test_builtin_extensions_stay_on_batch_path(self, kwargs):
         config = FrameworkConfig(start_mv=910, campaigns=1, runs_per_level=4)
         results = {}
-        for use_kernel in (False, True):
+        for batch in (False, True):
             machine = _machine(seed=99, **kwargs)
             framework, records, logs, state = _campaign_observables(
-                machine, config, use_kernel
+                machine, config, batch
             )
-            results[use_kernel] = (records, logs, state)
-            if use_kernel:
+            results[batch] = (records, logs, state)
+            if batch:
                 assert framework.last_campaign_path == "batch"
         assert results[False] == results[True]
 
@@ -224,7 +230,8 @@ class TestKernelFallbackMatrix:
             machine, config, True
         )
         assert framework.last_campaign_path == "scalar"
-        # The fallback is transparent: identical output to use_kernel=False.
+        # The fallback is transparent: identical output to a machine
+        # forced onto the scalar source.
         reference = _machine(
             seed=7,
             injector=FaultInjector(
@@ -246,7 +253,6 @@ class TestKernelFallbackMatrix:
         framework = CharacterizationFramework(
             machine,
             FrameworkConfig(start_mv=905, campaigns=1, runs_per_level=2),
-            use_kernel=True,
         )
         campaign = framework.run_campaign(get_benchmark("mcf"), core=0)
         assert framework.last_campaign_path == "scalar"
@@ -266,7 +272,6 @@ class TestKernelFallbackMatrix:
         framework = CharacterizationFramework(
             machine,
             FrameworkConfig(start_mv=905, campaigns=1, runs_per_level=2),
-            use_kernel=True,
         )
         campaign = framework.run_campaign(get_benchmark("mcf"), core=0)
         assert framework.last_campaign_path == "scalar"
@@ -282,6 +287,56 @@ class TestKernelFallbackMatrix:
             sorted(table.voltages, reverse=True)
         )
         assert table.index_of(table.voltages[3]) == 3
+
+
+class TestKernelCache:
+    """The framework reuses a compiled kernel only while the machine's
+    batch surface token is unchanged: attaching an injector or mutating
+    an extension model between campaigns must recompile -- or fall back
+    -- exactly as a fresh compile would."""
+
+    @staticmethod
+    def _campaigns(machine, framework):
+        """Plain, then with a scripted injector attached, then detached
+        with the droop model mutated in place -- and once more mutated
+        in place, so a cached batch kernel (the fallback dropped the
+        first one) must notice the mutation by itself."""
+        bench = get_benchmark("mcf")
+        paths, results = [], []
+
+        def run(campaign_index):
+            results.append(framework.run_campaign(
+                bench, core=0, campaign_index=campaign_index))
+            paths.append(framework.last_campaign_path)
+
+        run(1)
+        machine.injector = FaultInjector(
+            [Injection(unit=FunctionalUnit.L2_SRAM, bit_positions=(3,))]
+        )
+        run(2)
+        machine.injector = None
+        object.__setattr__(machine.droop_model, "max_droop_mv", 30.0)
+        run(3)
+        object.__setattr__(machine.droop_model, "max_droop_mv", 45.0)
+        run(4)
+        return paths, results
+
+    def test_cache_follows_injector_and_in_place_mutation(self):
+        config = FrameworkConfig(start_mv=905, campaigns=1, runs_per_level=3)
+        machine = _machine(seed=11, droop_model=SupplyDroopModel())
+        framework = CharacterizationFramework(machine, config)
+        paths, results = self._campaigns(machine, framework)
+        assert paths == ["batch", "scalar", "batch", "batch"]
+
+        reference_machine = _machine(seed=11, droop_model=SupplyDroopModel())
+        reference = CharacterizationFramework(reference_machine, config)
+        with scalar_path(reference_machine):
+            ref_paths, ref_results = self._campaigns(
+                reference_machine, reference
+            )
+        assert ref_paths == ["scalar"] * 4
+        assert framework.raw_logs == reference.raw_logs
+        assert results == ref_results
 
 
 class TestLogFingerprint:

@@ -131,11 +131,11 @@ class TestRetryPolicy:
         real = engine_mod.run_campaign_chunk
         failures = {"left": 1}
 
-        def flaky(spec, config, tasks, collect_spans=False, use_kernel=True):
+        def flaky(spec, config, tasks, collect_spans=False):
             if failures["left"]:
                 failures["left"] -= 1
                 raise RuntimeError("simulated worker crash")
-            return real(spec, config, tasks, collect_spans, use_kernel)
+            return real(spec, config, tasks, collect_spans)
 
         monkeypatch.setattr(engine_mod, "run_campaign_chunk", flaky)
         with warnings.catch_warnings():

@@ -5,6 +5,7 @@ prefix of its tasks, resume it, and get results -- and exported CSV
 bytes -- identical to the uninterrupted run.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -37,6 +38,8 @@ from repro.telemetry import (
     telemetry_session,
 )
 from repro.workloads import get_benchmark
+
+from .conftest import scalar_path
 
 #: Same watchdog-exercising grid as test_parallel: the sweep starts
 #: right below bwaves Vmin and descends into the crash region, so
@@ -329,9 +332,9 @@ class TestJournalIntegrity:
         for effect in EffectType:
             assert registry.counter(M_EFFECTS, effect=effect.value).value == 0
 
-        with telemetry_session(metrics=registry):
-            framework = CharacterizationFramework(
-                build_machine(SPEC), CFG, use_kernel=False)
+        machine = build_machine(SPEC)
+        with telemetry_session(metrics=registry), scalar_path(machine):
+            framework = CharacterizationFramework(machine, CFG)
             campaign = framework.run_campaign(get_benchmark("bwaves"), 0)
         assert registry.counter(M_PARSER_RUNS).value == len(campaign.records)
 
@@ -505,32 +508,34 @@ class TestStoreConsumers:
 
 
 class TestKernelPathStoreEquivalence:
-    """The batch kernel must journal byte-identical store contents.
+    """The batch source must journal byte-identical store contents.
 
-    The acceptance scenario of this module rerun through
-    ``use_kernel=True``: persistence happens downstream of campaign
-    execution, so the kernel's bit-identical RunRecord contract must
-    survive all the way into the journal bytes on disk.
+    The acceptance scenario of this module rerun on both outcome
+    sources (the scalar one selected through ``scalar_path``):
+    persistence happens downstream of campaign execution, so the
+    bit-identical RunRecord contract must survive all the way into the
+    journal bytes on disk.
     """
 
     def test_journal_bytes_identical_across_paths(self, tmp_path):
         journals = {}
-        for use_kernel in (False, True):
-            directory = tmp_path / ("kernel" if use_kernel else "scalar")
+        for batch in (False, True):
+            directory = tmp_path / ("kernel" if batch else "scalar")
             directory.mkdir()
-            run_grid(store=directory, jobs=1, use_kernel=use_kernel)
-            journals[use_kernel] = (directory / JOURNAL_NAME).read_bytes()
+            with contextlib.nullcontext() if batch else scalar_path():
+                run_grid(store=directory, jobs=1)
+            journals[batch] = (directory / JOURNAL_NAME).read_bytes()
         assert journals[False] == journals[True]
 
     def test_kernel_journal_resumes_on_scalar_path(self, tmp_path):
-        # A journal written by the kernel path must be resumable by the
-        # scalar path (and vice versa): the store records observables,
-        # not which execution path produced them.
-        run_grid(store=tmp_path, jobs=1, use_kernel=True)
+        # A journal written by the batch source must be resumable on
+        # the scalar source (and vice versa): the store records
+        # observables, not which outcome source produced them.
+        run_grid(store=tmp_path, jobs=1)
         killed = truncated_copy(tmp_path, tmp_path, keep=2)
-        resumed = run_grid(store=killed, resume=True, jobs=1,
-                           use_kernel=False)
-        full = run_grid(jobs=1, use_kernel=True)
+        with scalar_path():
+            resumed = run_grid(store=killed, resume=True, jobs=1)
+        full = run_grid(jobs=1)
         assert resumed.results == full.results
         assert (killed / JOURNAL_NAME).read_bytes() == \
             (tmp_path / JOURNAL_NAME).read_bytes()
