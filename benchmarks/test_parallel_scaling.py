@@ -129,10 +129,9 @@ GRID_BENCHMARKS = ("bwaves", "mcf")
 GRID_CORES = (0, 4)
 
 
-def run_grid(jobs, backend="auto"):
+def run_grid(jobs):
     engine = ParallelCampaignEngine(
-        MachineSpec(chip="TTT", seed=2017), GRID_CFG,
-        jobs=jobs, backend=backend,
+        MachineSpec(chip="TTT", seed=2017), GRID_CFG, jobs=jobs,
     )
     return engine.run([get_benchmark(b) for b in GRID_BENCHMARKS],
                       list(GRID_CORES))
@@ -158,7 +157,7 @@ def test_parallel_speedup_over_serial():
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_grid(jobs=4, backend="process")
+    parallel = run_grid(jobs=4)
     parallel_s = time.perf_counter() - start
 
     assert serial.results == parallel.results

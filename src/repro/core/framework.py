@@ -27,6 +27,7 @@ the watchdog's buttons.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -39,11 +40,12 @@ from ..units import (
     validate_frequency_mhz,
     voltage_sweep,
 )
-from ..workloads.benchmark import Benchmark, Program
+from ..workloads.benchmark import Program, as_program
 from ..machines import Machine, machine_to_spec
 from .campaign import CampaignResult, CharacterizationResult
 from .kernel import CampaignKernel
 from .parser import parse_log
+from .runs import RunRecord
 from .watchdog import WatchdogMonitor
 
 
@@ -75,6 +77,15 @@ class FrameworkConfig:
             raise ConfigurationError("campaigns must be positive")
         if self.stop_after_crash_levels <= 0:
             raise ConfigurationError("stop_after_crash_levels must be positive")
+
+
+def count_effects(records: Sequence[RunRecord]) -> None:
+    """Bump ``repro_effects_total`` once per effect class in ``records``."""
+    totals = Counter(
+        effect.value for record in records for effect in record.effects
+    )
+    for value, amount in totals.items():
+        telemetry.inc_counter(telemetry.M_EFFECTS, effect=value, amount=amount)
 
 
 class CharacterizationFramework:
@@ -135,7 +146,7 @@ class CharacterizationFramework:
         ``repro_kernel_campaigns_total`` counter record which outcome
         source ran.
         """
-        program = self._as_program(workload)
+        program = as_program(workload)
         cfg = self.config
         start = cfg.start_mv if cfg.start_mv is not None else PMD_NOMINAL_MV
         floor = cfg.stop_mv if cfg.stop_mv is not None else 700
@@ -159,17 +170,8 @@ class CharacterizationFramework:
             key = (program.name, core, cfg.freq_mhz, campaign_index)
             self.raw_logs[key] = log_text
             with telemetry.span("parse", campaign=campaign_index):
-                # The kernel already built the records; one aggregated
-                # increment per effect class.
-                effect_totals: Dict[str, int] = {}
-                for record in result.records:
-                    for effect in record.effects:
-                        value = effect.value
-                        effect_totals[value] = effect_totals.get(value, 0) + 1
-                for value, amount in effect_totals.items():
-                    telemetry.inc_counter(
-                        telemetry.M_EFFECTS, effect=value, amount=amount
-                    )
+                # The kernel already built the records.
+                count_effects(result.records)
                 telemetry.inc_counter(
                     telemetry.M_PARSER_RUNS, amount=len(result.records)
                 )
@@ -224,9 +226,7 @@ class CharacterizationFramework:
         workloads: Sequence[object],
         cores: Sequence[int],
         jobs: int = 1,
-        backend: str = "auto",
         progress=None,
-        chunk_size: Optional[int] = None,
         store=None,
         resume: bool = False,
     ) -> Dict[Tuple[str, int], CharacterizationResult]:
@@ -259,8 +259,6 @@ class CharacterizationFramework:
             spec,
             self.config,
             jobs=jobs,
-            backend=backend,
-            chunk_size=chunk_size,
             progress=progress if progress is not None else NULL_PROGRESS,
         )
         report = engine.run(workloads, cores, store=store, resume=resume)
@@ -275,16 +273,6 @@ class CharacterizationFramework:
         return report.results
 
     # -- misc -----------------------------------------------------------------------
-
-    @staticmethod
-    def _as_program(workload: object) -> Program:
-        if isinstance(workload, Program):
-            return workload
-        if isinstance(workload, Benchmark):
-            return workload.programs()[0]
-        raise ConfigurationError(
-            f"expected a Program or Benchmark, got {type(workload).__name__}"
-        )
 
     @staticmethod
     def _log_fingerprint(text: str) -> Tuple[int, int]:

@@ -9,8 +9,9 @@ contract.
 
 Public surface:
 
-* :class:`ParallelCampaignEngine` -- fans (workload, core, campaign)
-  grids over a process/thread pool, serial fallback included.
+* :class:`ParallelCampaignEngine` -- runs (workload, core, campaign)
+  grids serially or over a process pool, whichever the grid and the
+  environment allow, with bit-identical results either way.
 * :func:`run_fleet` -- runs/resumes every shard of a
   :class:`~repro.store.FleetStore`, one engine per machine spec
   (:mod:`repro.parallel.fleet`).
@@ -22,7 +23,7 @@ Public surface:
   hooks (no-op by default).
 """
 
-from .engine import BACKENDS, EngineReport, ParallelCampaignEngine
+from .engine import EngineReport, ParallelCampaignEngine
 from .fleet import FleetRunReport, run_fleet
 from .progress import (
     NULL_PROGRESS,
@@ -40,7 +41,6 @@ from .tasks import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CampaignTask",
     "CampaignTaskResult",
     "ConsoleProgress",

@@ -10,26 +10,37 @@ process pool.
 Determinism is the design anchor.  Every task's machine seed is derived
 from the parent seed and the task's stable coordinates (see
 :mod:`repro.parallel.tasks`), so the engine produces **bit-identical**
-results for any worker count, backend or chunking -- ``jobs=4`` equals
+results for any worker count or chunking -- ``jobs=4`` equals
 ``jobs=1`` equals any future run of the same grid.
 
-Scheduling is chunked (one pickle round-trip per chunk, not per
-campaign), worker crashes are retried once by re-running the lost chunk
-in-process, and a :class:`~repro.parallel.progress.ProgressReporter`
-hook surfaces completed/total/ETA to the CLI and examples.
+There is one execution path.  The engine runs the grid serially
+in-process when ``jobs == 1`` or too few tasks are pending to be worth
+a pool, and over a process pool otherwise; if the pool cannot start it
+warns and runs serially.  Either way chunks are committed by the same
+step (journal, metrics, tsdb sample, progress).  Scheduling is chunked
+(one pickle round-trip per chunk, not per campaign), a chunk lost to a
+worker failure is retried once in-process, and a
+:class:`~repro.parallel.progress.ProgressReporter` hook surfaces
+completed/total/ETA to the CLI and examples.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    wait,
+)
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..core.campaign import CampaignResult, CharacterizationResult
-from ..core.framework import FrameworkConfig
+from ..core.framework import FrameworkConfig, count_effects
 from ..errors import CampaignError, ConfigurationError
 from ..machines import MachineSpec, as_machine_spec
 from ..store import (
@@ -38,7 +49,7 @@ from ..store import (
     CampaignStore,
     FleetStore,
 )
-from ..workloads.benchmark import Benchmark, Program
+from ..workloads.benchmark import as_program
 from .progress import NULL_PROGRESS, ProgressReporter, ProgressTracker
 from .tasks import (
     CampaignTask,
@@ -46,10 +57,6 @@ from .tasks import (
     derive_task_seed,
     run_campaign_chunk,
 )
-
-#: Supported execution backends.
-BACKENDS = ("auto", "process", "thread", "serial")
-
 
 @dataclass(frozen=True)
 class EngineReport:
@@ -66,9 +73,9 @@ class EngineReport:
     tasks_run: int
     #: Scheduling chunks retried in-process after a worker failure.
     chunks_retried: int
-    #: Backend that actually executed the grid.
+    #: How the grid executed: ``"serial"`` or ``"process"``.
     backend: str
-    #: Worker count the grid ran with (1 for the serial backend).
+    #: Worker count the grid ran with (1 when serial).
     jobs: int
     #: Tasks replayed from a campaign-store journal instead of executed
     #: (0 for runs without a store or with an empty journal).
@@ -76,7 +83,7 @@ class EngineReport:
 
 
 class ParallelCampaignEngine:
-    """Fans a characterization grid out over a worker pool.
+    """Runs a characterization grid, serially or over a process pool.
 
     Parameters
     ----------
@@ -91,21 +98,16 @@ class ParallelCampaignEngine:
         campaign count) applied to every grid cell.
     jobs:
         Worker count.  ``1`` executes serially in-process (the
-        reference ordering); higher values enable the pool.
-    backend:
-        ``"process"`` / ``"thread"`` / ``"serial"`` / ``"auto"``.
-        Auto picks processes for ``jobs > 1`` and falls back to
-        threads when process pools are unavailable (restricted
-        environments), then to serial execution.
-    chunk_size:
-        Tasks per scheduling chunk; ``None`` sizes chunks to roughly
-        four per worker, which keeps the pool busy without paying one
-        IPC round-trip per campaign.
+        reference ordering); higher values use a process pool of that
+        many workers when at least :attr:`MIN_POOL_TASKS` tasks are
+        pending.  Chunks hold about a quarter of one worker's share of
+        the pending tasks, which keeps the pool busy without paying
+        one IPC round-trip per campaign.
     progress:
         Optional :class:`ProgressReporter`; the default is a no-op.
     """
 
-    #: Grids smaller than this never spin up a pool under ``auto``.
+    #: Grids with fewer pending tasks than this never spin up a pool.
     MIN_POOL_TASKS = 2
 
     def __init__(
@@ -113,23 +115,13 @@ class ParallelCampaignEngine:
         spec: MachineSpec,
         config: FrameworkConfig = FrameworkConfig(),
         jobs: int = 1,
-        backend: str = "auto",
-        chunk_size: Optional[int] = None,
         progress: ProgressReporter = NULL_PROGRESS,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
         self.spec = as_machine_spec(spec)
         self.config = config
         self.jobs = int(jobs)
-        self.backend = backend
-        self.chunk_size = chunk_size
         self.progress = progress
 
     # -- task grid --------------------------------------------------------
@@ -145,7 +137,7 @@ class ParallelCampaignEngine:
         """
         tasks: List[CampaignTask] = []
         for workload in workloads:
-            program = self._as_program(workload)
+            program = as_program(workload)
             for core in cores:
                 for campaign_index in range(1, self.config.campaigns + 1):
                     tasks.append(
@@ -192,51 +184,49 @@ class ParallelCampaignEngine:
             task for task in tasks
             if (task.program.name, task.core, task.campaign_index) not in done
         ]
-        backend = self._resolve_backend(len(pending)) if pending else "serial"
+        pool = None
+        if self.jobs > 1 and len(pending) >= self.MIN_POOL_TASKS:
+            pool = self._open_pool()
+        backend = "serial" if pool is None else "process"
         collect = self._tracing_enabled()
-        with telemetry.span(
-            "engine.run",
-            tasks=len(tasks),
-            pending=len(pending),
-            backend=backend,
-            jobs=self.jobs,
-        ):
-            tracker = ProgressTracker(len(tasks), self.progress)
-            if replayed:
-                tracker.advance(len(replayed))
-                telemetry.inc_counter(
-                    telemetry.M_TASKS_SKIPPED, amount=len(replayed)
-                )
-                telemetry.event("engine.replay", tasks=len(replayed))
-            self._sample_tsdb(journal)
-            checkpoint = self._checkpointer(journal)
-            chunks = self._chunk(pending)
-            retried = 0
-            if backend == "serial":
+        try:
+            with telemetry.span(
+                "engine.run",
+                tasks=len(tasks),
+                pending=len(pending),
+                backend=backend,
+                jobs=self.jobs,
+            ):
+                tracker = ProgressTracker(len(tasks), self.progress)
+                if replayed:
+                    tracker.advance(len(replayed))
+                    telemetry.inc_counter(
+                        telemetry.M_TASKS_SKIPPED, amount=len(replayed)
+                    )
+                    telemetry.event("engine.replay", tasks=len(replayed))
+                self._sample_tsdb(journal)
                 outcomes: List[CampaignTaskResult] = []
-                for chunk in chunks:
-                    chunk_started = telemetry.clock()
-                    chunk_outcomes = run_campaign_chunk(
-                        self.spec, self.config, chunk, collect
-                    )
+                retried = 0
+                for chunk, chunk_outcomes, started, lost in self._executed(
+                    self._chunk(pending), pool, collect
+                ):
+                    # The one commit step, whichever way the chunk ran.
+                    retried += lost
                     telemetry.observe(
-                        telemetry.M_CHUNK_SECONDS,
-                        telemetry.clock() - chunk_started,
+                        telemetry.M_CHUNK_SECONDS, telemetry.clock() - started
                     )
-                    checkpoint(chunk, chunk_outcomes)
+                    self._checkpoint(journal, chunk, chunk_outcomes)
                     self._record_outcomes(chunk_outcomes)
                     self._sample_tsdb(journal)
                     outcomes.extend(chunk_outcomes)
                     tracker.advance(len(chunk))
-            else:
-                outcomes, retried = self._run_pool(
-                    backend, chunks, tracker, checkpoint, collect,
-                    journal=journal,
-                )
-            tracker.finish()
-            # Final snapshot after finish() so the run's published
-            # throughput gauge lands in the time-series journal.
-            self._sample_tsdb(journal)
+                tracker.finish()
+                # Final snapshot after finish() so the run's published
+                # throughput gauge lands in the time-series journal.
+                self._sample_tsdb(journal)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
         return self._assemble(
             tasks, replayed + outcomes, backend, retried,
             tasks_skipped=len(replayed),
@@ -327,24 +317,20 @@ class ParallelCampaignEngine:
             )
         return replayed
 
-    def _checkpointer(
-        self, journal: Optional[CampaignStore]
-    ) -> Callable[[Tuple[CampaignTask, ...], Tuple[CampaignTaskResult, ...]], None]:
+    @staticmethod
+    def _checkpoint(
+        journal: Optional[CampaignStore],
+        chunk: Tuple[CampaignTask, ...],
+        outcomes: Tuple[CampaignTaskResult, ...],
+    ) -> None:
         """Journal a completed chunk's outcomes (no-op without a store)."""
-        def checkpoint(
-            chunk: Tuple[CampaignTask, ...],
-            outcomes: Tuple[CampaignTaskResult, ...],
-        ) -> None:
-            if journal is None:
-                return
-            for task, outcome in zip(chunk, outcomes):
-                journal.append_campaign(
-                    outcome.result,
-                    outcome.raw_log,
-                    task.seed,
-                    outcome.interventions,
-                )
-        return checkpoint
+        if journal is None:
+            return
+        for task, outcome in zip(chunk, outcomes):
+            journal.append_campaign(
+                outcome.result, outcome.raw_log, task.seed,
+                outcome.interventions,
+            )
 
     @staticmethod
     def _tracing_enabled() -> bool:
@@ -369,7 +355,8 @@ class ParallelCampaignEngine:
 
         Workers run under a local (or shielded) session, so all metric
         aggregation happens here, once per outcome, from the outcome
-        payload itself -- identical for every backend and worker count.
+        payload itself -- identical for serial and pooled runs and any
+        worker count.
         Replayed journal lines are *not* routed through this: metrics
         describe the current run; ``repro status`` covers the store.
         """
@@ -379,116 +366,91 @@ class ParallelCampaignEngine:
                 telemetry.inc_counter(
                     telemetry.M_INTERVENTIONS, amount=outcome.interventions
                 )
-            for record in outcome.result.records:
-                for effect in record.effects:
-                    telemetry.inc_counter(
-                        telemetry.M_EFFECTS, effect=effect.value
-                    )
-
-    def _resolve_backend(self, n_tasks: int) -> str:
-        if self.backend == "serial" or self.jobs == 1:
-            return "serial"
-        if self.backend == "auto" and n_tasks < self.MIN_POOL_TASKS:
-            return "serial"
-        if self.backend == "auto":
-            return "process"
-        return self.backend
+            count_effects(outcome.result.records)
 
     def _chunk(self, tasks: List[CampaignTask]) -> List[Tuple[CampaignTask, ...]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, len(tasks) // (self.jobs * 4))
+        size = max(1, len(tasks) // (self.jobs * 4))
         return [
             tuple(tasks[i:i + size]) for i in range(0, len(tasks), size)
         ]
 
-    def _make_executor(self, backend: str) -> Tuple[Executor, str]:
-        """Build the pool, degrading process -> thread -> serial."""
-        if backend == "process":
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                executor = ProcessPoolExecutor(max_workers=self.jobs)
-                # Surface pool-construction failures (missing /dev/shm,
-                # seccomp'd fork, ...) now rather than at submit time.
-                executor.submit(int, 0).result()
-                return executor, "process"
-            except Exception as exc:  # pragma: no cover - environment-dependent
-                warnings.warn(
-                    f"process pool unavailable ({exc!r}); "
-                    "falling back to threads",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.jobs), "thread"
-
-    def _run_pool(
-        self,
-        backend: str,
-        chunks: List[Tuple[CampaignTask, ...]],
-        tracker: ProgressTracker,
-        checkpoint: Callable[
-            [Tuple[CampaignTask, ...], Tuple[CampaignTaskResult, ...]], None
-        ],
-        collect: bool = False,
-        journal: Optional[CampaignStore] = None,
-    ) -> Tuple[List[CampaignTaskResult], int]:
-        executor, backend = self._make_executor(backend)
-        outcomes: List[CampaignTaskResult] = []
-        retried = 0
+    def _open_pool(self) -> Optional[Executor]:
+        """A started pool of ``jobs`` worker processes, or None (run
+        serially) when this environment cannot start one."""
+        pool = None
         try:
-            pending: Dict[Future, Tuple[CampaignTask, ...]] = {
-                executor.submit(
-                    run_campaign_chunk, self.spec, self.config, chunk, collect,
-                ): chunk
-                for chunk in chunks
-            }
-            submitted = {future: telemetry.clock() for future in pending}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = pending.pop(future)
-                    try:
-                        chunk_outcomes = tuple(future.result())
-                    except Exception as exc:
-                        # Retry-once policy: a lost worker (OOM kill,
-                        # BrokenProcessPool, pickling trouble) must not
-                        # lose the grid.  The chunk re-runs in-process;
-                        # seeds are per-task, so the retry is
-                        # bit-identical to what the worker would have
-                        # produced.
-                        warnings.warn(
-                            f"worker chunk failed ({exc!r}); "
-                            "retrying in-process",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        retried += 1
-                        telemetry.inc_counter(telemetry.M_CHUNKS_RETRIED)
-                        telemetry.event(
-                            "engine.chunk_retry",
-                            tasks=len(chunk),
-                            error=repr(exc),
-                        )
-                        chunk_outcomes = run_campaign_chunk(
-                            self.spec, self.config, chunk, collect,
-                        )
-                    # Submit-to-drain latency: includes queue wait, which
-                    # is the number that matters for pool sizing.
-                    telemetry.observe(
-                        telemetry.M_CHUNK_SECONDS,
-                        telemetry.clock() - submitted[future],
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # Surface start-up failures (missing /dev/shm, seccomp'd
+            # fork, ...) now rather than at submit time.
+            pool.submit(int, 0).result()
+            return pool
+        except (ImportError, NotImplementedError, OSError, BrokenExecutor) as exc:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); running serially",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+
+    def _executed(
+        self,
+        chunks: List[Tuple[CampaignTask, ...]],
+        pool: Optional[Executor],
+        collect: bool,
+    ) -> Iterator[Tuple[
+        Tuple[CampaignTask, ...], Tuple[CampaignTaskResult, ...], float, int
+    ]]:
+        """Run the chunks; yield ``(chunk, outcomes, started, retried)``.
+
+        Without a pool each chunk runs in-process, in grid order, and a
+        failure propagates.  With one, chunks are yielded in completion
+        order and ``started`` is the submit time, so the chunk latency
+        includes queue wait -- the number that matters for pool sizing.
+        """
+        if pool is None:
+            for chunk in chunks:
+                started = telemetry.clock()
+                yield chunk, run_campaign_chunk(
+                    self.spec, self.config, chunk, collect
+                ), started, 0
+            return
+        pending: Dict[Future, Tuple[Tuple[CampaignTask, ...], float]] = {
+            pool.submit(
+                run_campaign_chunk, self.spec, self.config, chunk, collect,
+            ): (chunk, telemetry.clock())
+            for chunk in chunks
+        }
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                chunk, started = pending.pop(future)
+                try:
+                    outcomes = tuple(future.result())
+                    retried = 0
+                except Exception as exc:
+                    # Retry-once policy: a lost worker (OOM kill,
+                    # BrokenProcessPool, pickling trouble) must not
+                    # lose the grid.  The chunk re-runs in-process;
+                    # seeds are per-task, so the retry is bit-identical
+                    # to what the worker would have produced.
+                    warnings.warn(
+                        f"worker chunk failed ({exc!r}); retrying in-process",
+                        RuntimeWarning,
+                        stacklevel=2,
                     )
-                    checkpoint(chunk, chunk_outcomes)
-                    self._record_outcomes(chunk_outcomes)
-                    self._sample_tsdb(journal)
-                    outcomes.extend(chunk_outcomes)
-                    tracker.advance(len(chunk))
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return outcomes, retried
+                    telemetry.inc_counter(telemetry.M_CHUNKS_RETRIED)
+                    telemetry.event(
+                        "engine.chunk_retry", tasks=len(chunk), error=repr(exc)
+                    )
+                    outcomes = run_campaign_chunk(
+                        self.spec, self.config, chunk, collect,
+                    )
+                    retried = 1
+                yield chunk, outcomes, started, retried
 
     # -- assembly ---------------------------------------------------------
 
@@ -525,14 +487,4 @@ class ParallelCampaignEngine:
             backend=backend,
             jobs=1 if backend == "serial" else self.jobs,
             tasks_skipped=tasks_skipped,
-        )
-
-    @staticmethod
-    def _as_program(workload: object) -> Program:
-        if isinstance(workload, Program):
-            return workload
-        if isinstance(workload, Benchmark):
-            return workload.programs()[0]
-        raise ConfigurationError(
-            f"expected a Program or Benchmark, got {type(workload).__name__}"
         )

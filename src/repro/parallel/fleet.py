@@ -45,8 +45,6 @@ class FleetRunReport:
 def run_fleet(
     fleet: Union[str, Path, FleetStore],
     jobs: int = 1,
-    backend: str = "auto",
-    chunk_size: Optional[int] = None,
     progress: ProgressReporter = NULL_PROGRESS,
     shards: Optional[Sequence[str]] = None,
 ) -> FleetRunReport:
@@ -80,8 +78,6 @@ def run_fleet(
             shard.manifest.spec,
             manifest.config,
             jobs=jobs,
-            backend=backend,
-            chunk_size=chunk_size,
             progress=progress,
         )
         reports[entry.name] = engine.run(

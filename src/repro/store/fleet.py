@@ -91,10 +91,6 @@ class ShardEntry:
     #: into canonical grid order.
     compacted: bool = False
 
-    @property
-    def complete(self) -> bool:
-        return self.watermark >= self.total
-
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -400,7 +396,9 @@ class FleetStore:
         return self.manifest
 
     def is_complete(self) -> bool:
-        return all(entry.complete for entry in self.manifest.shards)
+        """Whether every shard journal on disk holds its whole grid
+        (the manifest's watermarks may be stale)."""
+        return all(store.is_complete() for _, store in self.shards())
 
     def pending_tasks(self) -> Dict[str, List[TaskKey]]:
         """Per shard name, the grid tasks not yet journaled on disk."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .health import (
     HealthRule,
@@ -34,6 +34,9 @@ from .health import (
 from .metrics import M_TASK_SECONDS, M_THROUGHPUT
 from .status import _format_eta, campaign_status, fleet_status
 from .tsdb import TSDB_NAME, TsdbCursor
+
+if TYPE_CHECKING:
+    from ..store import CampaignStore, FleetStore
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,9 +99,11 @@ def _freshest(cursors: Sequence[TsdbCursor]) -> TsdbCursor:
 class Dashboard:
     """Warm-state aggregator behind ``repro dash``.
 
-    Keep one instance alive across ``--follow`` refreshes: the tsdb
-    cursors advance incrementally instead of re-parsing the journals
-    every frame.
+    Keep one instance alive across ``--follow`` refreshes: it holds
+    one open store, caught up with its journals each frame, and tsdb
+    cursors that advance incrementally, so a frame decodes only the
+    journal lines and parses only the tsdb bytes appended since the
+    previous one.
     """
 
     def __init__(
@@ -113,26 +118,30 @@ class Dashboard:
             else default_health_rules(baseline)
         )
         self._cursors: Dict[str, TsdbCursor] = {}
+        self._opened: Optional[Union["CampaignStore", "FleetStore"]] = None
+        self._tsdb_paths: Tuple[Path, ...] = ()
 
-    def _is_fleet(self) -> bool:
-        # Lazy: repro.store imports repro.telemetry at module level.
-        from ..store.fleet import FLEET_MANIFEST_NAME
+    def _open(self) -> Union["CampaignStore", "FleetStore"]:
+        """The store this dashboard reads, opened on the first frame,
+        along with the paths of its tsdb journals."""
+        if self._opened is None:
+            # Lazy: repro.store imports repro.telemetry at module level.
+            from ..store import FLEET_MANIFEST_NAME, CampaignStore, FleetStore
 
-        return (self.store / FLEET_MANIFEST_NAME).exists()
-
-    def _tsdb_paths(self) -> Tuple[Path, ...]:
-        if not self._is_fleet():
-            return (self.store / TSDB_NAME,)
-        from ..store import FleetStore
-
-        fleet = FleetStore.open(self.store)
-        return tuple(
-            fleet.tsdb_path(entry) for entry in fleet.manifest.shards
-        )
+            if (self.store / FLEET_MANIFEST_NAME).exists():
+                fleet = FleetStore.open(self.store)
+                self._tsdb_paths = tuple(
+                    fleet.tsdb_path(entry) for entry in fleet.manifest.shards
+                )
+                self._opened = fleet
+            else:
+                self._tsdb_paths = (self.store / TSDB_NAME,)
+                self._opened = CampaignStore.open(self.store)
+        return self._opened
 
     def _advance_cursors(self) -> List[TsdbCursor]:
         cursors: List[TsdbCursor] = []
-        for path in self._tsdb_paths():
+        for path in self._tsdb_paths:
             key = str(path)
             cursor = self._cursors.get(key)
             if cursor is None:
@@ -144,6 +153,9 @@ class Dashboard:
 
     def refresh(self) -> DashSnapshot:
         """Advance the cursors and assemble one dashboard frame."""
+        from ..store import FleetStore
+
+        opened = self._open()
         cursors = self._advance_cursors()
         freshest = _freshest(cursors)
         mean_task_seconds = freshest.mean(M_TASK_SECONDS)
@@ -151,8 +163,8 @@ class Dashboard:
         verdicts = evaluate_rules(freshest, self.rules)
 
         rows: List[Tuple[str, int, int]] = []
-        if self._is_fleet():
-            fleet = fleet_status(self.store)
+        if isinstance(opened, FleetStore):
+            fleet = fleet_status(opened)
             kind = "fleet"
             tasks_total = fleet.tasks_total
             tasks_completed = fleet.tasks_completed
@@ -161,7 +173,7 @@ class Dashboard:
                     (shard.name, shard.tasks_completed, shard.tasks_total)
                 )
         else:
-            status = campaign_status(self.store)
+            status = campaign_status(opened)
             kind = "campaign"
             tasks_total = status.tasks_total
             tasks_completed = status.tasks_completed

@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..effects import EFFECT_ORDER
 from .metrics import METRICS_FORMAT, M_TASK_SECONDS
+
+if TYPE_CHECKING:
+    from ..store import CampaignStore, FleetStore
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,26 @@ def _read_mean_task_seconds(path: Union[str, Path]) -> Optional[float]:
 
 
 def campaign_status(
-    store: Union[str, Path],
+    store: Union[str, Path, "CampaignStore"],
     metrics_path: Optional[Union[str, Path]] = None,
 ) -> CampaignStatus:
-    """Summarize a store directory (and optional metrics snapshot)."""
+    """Summarize a store (and optional metrics snapshot).
+
+    ``store`` is a directory, or an open store that is caught up with
+    its journal first, so a caller polling the same store decodes only
+    the lines appended since its previous call.
+    """
     # Imported lazily: repro.store imports repro.telemetry at module
     # level to instrument journal appends, so the top-level import
     # would be circular.
     from ..store import CampaignStore
 
-    opened = CampaignStore.open(store)
+    path: Union[str, Path]
+    if isinstance(store, CampaignStore):
+        opened, path = store, store.directory
+        opened.refresh()
+    else:
+        opened, path = CampaignStore.open(store), store
     manifest = opened.manifest
     completed = opened.completed_keys()
 
@@ -115,7 +128,7 @@ def campaign_status(
         _read_mean_task_seconds(metrics_path) if metrics_path is not None else None
     )
     return CampaignStatus(
-        store_path=str(store),
+        store_path=str(path),
         chip=str(chip_name),
         workloads=manifest.workloads,
         cores=manifest.cores,
@@ -299,7 +312,7 @@ class FleetStatus:
 
 
 def fleet_status(
-    fleet: Union[str, Path],
+    fleet: Union[str, Path, "FleetStore"],
     metrics_path: Optional[Union[str, Path]] = None,
 ) -> FleetStatus:
     """Summarize a fleet store, serving Vmin from the warm indexes.
@@ -308,13 +321,19 @@ def fleet_status(
     manifest's watermarks may lag a concurrent appender); the per-cell
     Vmin answers come from each shard's incremental
     :class:`~repro.store.VminIndex` -- the contract that the index is
-    answer-identical to a re-parse is what makes this safe.
+    answer-identical to a re-parse is what makes this safe.  Pass an
+    open :class:`~repro.store.FleetStore` to keep its shard stores and
+    indexes warm across calls.
     """
     # Lazy for the same reason as campaign_status: repro.store imports
     # repro.telemetry at module level.
     from ..store import FleetStore
 
-    opened = FleetStore.open(fleet)
+    path: Union[str, Path]
+    if isinstance(fleet, FleetStore):
+        opened, path = fleet, fleet.directory
+    else:
+        opened, path = FleetStore.open(fleet), fleet
     shards: List[FleetShardStatus] = []
     for entry, indexes in opened.indexes().bundles():
         store = indexes.store
@@ -342,7 +361,7 @@ def fleet_status(
         _read_mean_task_seconds(metrics_path) if metrics_path is not None else None
     )
     return FleetStatus(
-        fleet_path=str(fleet),
+        fleet_path=str(path),
         workloads=opened.manifest.workloads,
         cores=opened.manifest.cores,
         campaigns_per_cell=opened.manifest.config.campaigns,

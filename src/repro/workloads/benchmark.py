@@ -332,3 +332,14 @@ class Program:
 
     def trait_dict(self) -> Dict[str, float]:
         return self.traits.as_dict()
+
+
+def as_program(workload: object) -> Program:
+    """A workload argument as a program: a benchmark runs its first input."""
+    if isinstance(workload, Program):
+        return workload
+    if isinstance(workload, Benchmark):
+        return workload.programs()[0]
+    raise ConfigurationError(
+        f"expected a Program or Benchmark, got {type(workload).__name__}"
+    )

@@ -248,6 +248,20 @@ class TestFleetEquivalence:
         on_disk = json.loads((complete_fleet / FLEET_MANIFEST_NAME).read_text())
         assert FleetManifest.from_json_dict(on_disk) == manifest
 
+    def test_is_complete_reads_the_shard_journals(self, complete_fleet,
+                                                  tmp_path):
+        """A shard journal cut after fleet.json was written: the stale
+        watermark still says complete, the fleet must not."""
+        fleet_dir = tmp_path / "fleet"
+        shutil.copytree(complete_fleet, fleet_dir)
+        entry = FleetStore.open(fleet_dir).manifest.shards[0]
+        journal = fleet_dir / entry.path / JOURNAL_NAME
+        journal.write_bytes(journal.read_bytes().splitlines(keepends=True)[0])
+        assert entry.watermark == entry.total  # stale in fleet.json
+        assert not FleetStore.open(fleet_dir).is_complete()
+        assert FleetStore.open(fleet_dir).pending_tasks()[entry.name] == \
+            [("mcf", 0, 2)]
+
     def test_killed_shard_resumes_bit_identically(
             self, complete_fleet, standalone_journals, tmp_path):
         """Kill one shard after its first task; the fleet resume ends

@@ -771,6 +771,21 @@ class TestDashboard:
         assert "[fleet store (1 shards)]" in text
         assert "shards:" in text
 
+    @pytest.mark.parametrize("kind", ["campaign", "fleet"])
+    def test_held_store_decodes_each_line_once(self, tmp_path, kind,
+                                               decoded_lines):
+        store = tmp_path / kind
+        if kind == "fleet":
+            FleetStore.create(store, [SPEC], CFG, ["bwaves"], CORES)
+        observed_run(store, jobs=1)
+        decoded_lines.clear()
+        dash = Dashboard(store)
+        frames = [render_dash(dash.refresh()) for _ in range(3)]
+        assert sorted(decoded_lines) == sorted(set(decoded_lines))
+        assert len(decoded_lines) == TOTAL_TASKS
+        assert frames == [frames[0]] * 3
+        assert frames[0] == render_dash(Dashboard(store).refresh())
+
     def test_render_dash_layout(self, observed):
         snapshot = Dashboard(
             observed / "store",

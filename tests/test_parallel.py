@@ -1,7 +1,9 @@
 """The parallel characterization engine: determinism, fallbacks, caching."""
 
+import concurrent.futures
+import functools
 import io
-import warnings
+import os
 
 import pytest
 
@@ -26,6 +28,8 @@ from repro.parallel import (
     derive_task_seed,
 )
 from repro.parallel import engine as engine_mod
+from repro.parallel.tasks import run_campaign_chunk
+from repro.store import JOURNAL_NAME
 from repro.workloads import get_benchmark
 
 #: Small but watchdog-exercising configuration: the sweep starts right
@@ -38,8 +42,31 @@ def grid_engine(**kwargs):
     return ParallelCampaignEngine(SPEC, CFG, **kwargs)
 
 
-def run_grid(**kwargs):
-    return grid_engine(**kwargs).run([get_benchmark("bwaves")], [0, 4])
+def run_grid(store=None, **kwargs):
+    return grid_engine(**kwargs).run(
+        [get_benchmark("bwaves")], [0, 4], store=store)
+
+
+def fail_once_in_worker(flag, parent_pid, die, spec, config, tasks,
+                        collect_spans=False):
+    """A picklable chunk function: the first chunk a pool worker starts
+    fails (``die``: the worker exits mid-chunk, else it raises); every
+    other call, and any call in the parent process, runs normally.
+    The ``O_EXCL`` flag file makes "first" hold across processes."""
+    if os.getpid() != parent_pid:
+        try:
+            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            if die:
+                os._exit(1)
+            raise RuntimeError("simulated worker failure")
+    return run_campaign_chunk(spec, config, tasks, collect_spans)
+
+
+def journal_lines(store):
+    return (store / JOURNAL_NAME).read_bytes().splitlines(keepends=True)
 
 
 class TestSeedDerivation:
@@ -95,7 +122,7 @@ class TestMachineSpec:
 class TestEngineEquivalence:
     def test_parallel_bit_identical_to_serial(self):
         serial = run_grid(jobs=1)
-        parallel = run_grid(jobs=4, backend="process")
+        parallel = run_grid(jobs=4)
         assert serial.backend == "serial" and parallel.backend == "process"
         assert serial.results == parallel.results
         assert serial.raw_logs == parallel.raw_logs
@@ -110,42 +137,58 @@ class TestEngineEquivalence:
         # covers the worker-side watchdog-recovery path.
         assert serial.interventions == parallel.interventions > 0
 
-    def test_thread_backend_matches(self):
-        assert run_grid(jobs=1).results == \
-            run_grid(jobs=2, backend="thread").results
-
-    def test_chunking_does_not_change_results(self):
-        reference = run_grid(jobs=1)
-        chunked = run_grid(jobs=2, backend="thread", chunk_size=1)
-        assert reference.results == chunked.results
+    def test_two_workers_match(self):
+        parallel = run_grid(jobs=2)
+        assert parallel.backend == "process" and parallel.jobs == 2
+        assert run_grid(jobs=1).results == parallel.results
 
     def test_campaign_order_restored(self):
-        report = run_grid(jobs=2, backend="thread")
+        report = run_grid(jobs=2)
+        assert report.backend == "process"
         for result in report.results.values():
             indices = [c.campaign_index for c in result.campaigns]
             assert indices == sorted(indices)
 
 
 class TestRetryPolicy:
-    def test_lost_chunk_retried_in_process(self, monkeypatch):
-        real = engine_mod.run_campaign_chunk
-        failures = {"left": 1}
+    def _flaky(self, monkeypatch, tmp_path, die):
+        monkeypatch.setattr(engine_mod, "run_campaign_chunk", functools.partial(
+            fail_once_in_worker, str(tmp_path / "failed"), os.getpid(), die))
 
-        def flaky(spec, config, tasks, collect_spans=False):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise RuntimeError("simulated worker crash")
-            return real(spec, config, tasks, collect_spans)
-
-        monkeypatch.setattr(engine_mod, "run_campaign_chunk", flaky)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = grid_engine(jobs=2, backend="thread").run(
-                [get_benchmark("bwaves")], [0, 4]
-            )
+    def test_lost_chunk_retried_in_process(self, monkeypatch, tmp_path):
+        self._flaky(monkeypatch, tmp_path, die=False)
+        with pytest.warns(RuntimeWarning, match="retrying in-process"):
+            report = run_grid(jobs=2)
         monkeypatch.undo()
+        assert report.backend == "process"
         assert report.chunks_retried == 1
         assert report.results == run_grid(jobs=1).results
+
+    def test_dead_worker_chunks_rerun_in_process(self, monkeypatch, tmp_path):
+        serial = run_grid(store=tmp_path / "serial", jobs=1)
+        self._flaky(monkeypatch, tmp_path, die=True)
+        with pytest.warns(RuntimeWarning, match="retrying in-process"):
+            report = run_grid(store=tmp_path / "pooled", jobs=2)
+        monkeypatch.undo()
+        assert report.backend == "process"
+        assert report.chunks_retried >= 1
+        assert report.results == serial.results
+        assert report.raw_logs == serial.raw_logs
+        assert sorted(journal_lines(tmp_path / "pooled")) == \
+            sorted(journal_lines(tmp_path / "serial"))
+
+    def test_pool_start_failure_runs_serially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="running serially"):
+            report = run_grid(jobs=2)
+        monkeypatch.undo()
+        assert report.backend == "serial" and report.jobs == 1
+        serial = run_grid(jobs=1)
+        assert report.results == serial.results
+        assert report.raw_logs == serial.raw_logs
 
 
 class TestEngineValidation:
@@ -156,14 +199,6 @@ class TestEngineValidation:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             grid_engine(jobs=0)
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grid_engine(backend="gpu")
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            grid_engine(chunk_size=0)
 
 
 class TestFrameworkWiring:

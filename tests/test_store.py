@@ -416,7 +416,8 @@ class TestResumeDeterminism:
     def test_resume_with_parallel_backend_matches(
             self, reference, full_store, tmp_path):
         target = truncated_copy(full_store[0], tmp_path, keep=1)
-        report = run_grid(store=target, resume=True, jobs=2, backend="thread")
+        report = run_grid(store=target, resume=True, jobs=2)
+        assert report.backend == "process"
         assert report.results == reference.results
         assert report.raw_logs == reference.raw_logs
 
@@ -456,7 +457,8 @@ class TestResumeDeterminism:
 
         target = tmp_path / "interrupted"
         with pytest.raises(RuntimeError, match="power loss"):
-            engine(jobs=1, chunk_size=1, progress=KillSwitch(2)).run(
+            # jobs=1 runs this 4-task grid one task per chunk.
+            engine(jobs=1, progress=KillSwitch(2)).run(
                 [get_benchmark("bwaves")], CORES, store=target)
         survivor = CampaignStore.open(target)
         assert 0 < len(survivor.completed_keys()) < TOTAL_TASKS

@@ -3,8 +3,8 @@ determinism-neutrality contract.
 
 The load-bearing property: telemetry observes, never perturbs.  A
 traced+metered run must journal byte-identical stores and export
-byte-identical CSVs to a telemetry-off run, for any backend and job
-count, including kill-and-resume -- asserted end to end below.
+byte-identical CSVs to a telemetry-off run, serial or pooled, for any
+job count, including kill-and-resume -- asserted end to end below.
 """
 
 import json
@@ -409,15 +409,16 @@ def untraced_store(tmp_path_factory):
 
 
 class TestDeterminismNeutrality:
-    @pytest.mark.parametrize("jobs,backend", [(1, "serial"), (2, "thread")])
+    @pytest.mark.parametrize("jobs,backend", [(1, "serial"), (2, "process")])
     @pytest.mark.parametrize("traced", [False, True])
     def test_store_bytes_invariant(self, tmp_path, untraced_store,
                                    jobs, backend, traced):
         store = tmp_path / "store"
         if traced:
-            traced_run(store, tmp_path / "trace", jobs=jobs, backend=backend)
+            report, _reg = traced_run(store, tmp_path / "trace", jobs=jobs)
         else:
-            run_grid(store=store, jobs=jobs, backend=backend)
+            report = run_grid(store=store, jobs=jobs)
+        assert report.backend == backend
         CampaignStore.open(store).export_csv()
         for name in ("runs.csv", "severity.csv"):
             assert (store / name).read_bytes() == \
@@ -435,7 +436,7 @@ class TestDeterminismNeutrality:
 
     def test_traces_validate_against_schema(self, tmp_path):
         _report, _reg = traced_run(tmp_path / "store", tmp_path / "trace",
-                                   jobs=2, backend="thread")
+                                   jobs=2)
         trace_files = sorted((tmp_path / "trace").glob("trace-*.jsonl"))
         # One file per task trace plus the session trace.
         assert len(trace_files) == TOTAL_TASKS + 1
@@ -456,7 +457,7 @@ class TestDeterminismNeutrality:
 
     def test_parent_metrics_match_journal(self, tmp_path):
         _report, reg = traced_run(tmp_path / "store", tmp_path / "trace",
-                                  jobs=2, backend="thread")
+                                  jobs=2)
         journaled = CampaignStore.open(tmp_path / "store").campaigns()
         effects = {effect: 0 for effect in EffectType}
         for stored in journaled:
